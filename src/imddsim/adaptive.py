@@ -6,9 +6,12 @@ Gardner clock recovery.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .sigproc import SampleBuffer, SymbolSequence
 
@@ -61,10 +64,6 @@ class FfeTaps:
 # LMS feedforward equalizer
 # ---------------------------------------------------------------------------
 
-def _nearest_level(levels: np.ndarray, mids: np.ndarray, value: float) -> float:
-    return levels[np.searchsorted(mids, value)]
-
-
 def _lms_pass(
     x: np.ndarray,
     w: np.ndarray,
@@ -79,36 +78,62 @@ def _lms_pass(
     Data-aided on the first `n_train` samples (when `desired` is given),
     decision-directed on the rest.  Returns the equalizer output stream.
     Raises EqualizerDivergence when the windowed MSE grows out of hand.
+
+    The loop is bit-exact to the plain per-sample recursion
+    ``y = w @ win; w += mu * e * win`` with ``win`` the reversed window:
+
+    - ``win`` is a row of a reversed sliding-window view, so it keeps the
+      negative stride of ``xp[k : k + n_taps][::-1]``.  On such a view
+      ``@`` sums the products in tap order; ``np.dot`` copies to a
+      contiguous buffer and hands it to BLAS, which rounds differently.
+    - The update multiplies into a scratch buffer and adds it to `w`:
+      the same two roundings as ``w += mu * e * win``, with no fused
+      multiply-add and no temporary array.
+    - The slicer bisects Python lists of the level midpoints, which is
+      ``searchsorted(side="left")``.
+    - Outputs and known symbols pass through Python lists one MSE window
+      at a time.  A Python float costs about 32 bytes against 8 in an
+      ndarray, so lists the length of the block would raise the peak
+      memory of a run; lists one window long stay at about 64 kB.
     """
     n = x.size
     n_taps = w.size
     half = n_taps // 2
     xp = np.concatenate((x[-half:], x, x[:half])) if half else x
-    mids = (levels[1:] + levels[:-1]) / 2.0
+    windows = sliding_window_view(xp, n_taps)[:, ::-1]
+    mids = ((levels[1:] + levels[:-1]) / 2.0).tolist()
+    level_list = levels.tolist()
+    level_power = float(np.mean(levels**2))
+    n_aided = n_train if desired is not None else 0
     out = np.empty(n)
-    err_acc = 0.0
+    step = np.empty(n_taps)
     first_window_mse = None
     window = 2048
-    for k in range(n):
-        win = xp[k : k + n_taps][::-1]
-        y = float(w @ win)
-        out[k] = y
-        if desired is not None and k < n_train:
-            d = desired[k]
-            mu = mu_train
-        else:
-            d = _nearest_level(levels, mids, y)
-            mu = mu_dd
-        e = d - y
-        if not -1e60 < e < 1e60:
-            raise EqualizerDivergence(mu, abs(e))
-        w += mu * e * win
-        err_acc += e * e
-        if (k + 1) % window == 0:
+    for start in range(0, n, window):
+        stop = min(start + window, n)
+        known = desired[start : min(stop, n_aided)].tolist() if start < n_aided else []
+        n_known = len(known)
+        outputs = []
+        err_acc = 0.0
+        for i, win in enumerate(windows[start:stop]):
+            y = float(w @ win)
+            outputs.append(y)
+            if i < n_known:
+                d = known[i]
+                mu = mu_train
+            else:
+                d = level_list[bisect_left(mids, y)]
+                mu = mu_dd
+            e = d - y
+            if not -1e60 < e < 1e60:
+                raise EqualizerDivergence(mu, abs(e))
+            np.multiply(win, mu * e, out=step)
+            np.add(w, step, out=w)
+            err_acc += e * e
+        out[start:stop] = outputs
+        if stop - start == window:
             mse = err_acc / window
-            err_acc = 0.0
-            level_power = float(np.mean(levels**2))
-            if not np.isfinite(mse) or mse > 1e6 * level_power:
+            if not math.isfinite(mse) or mse > 1e6 * level_power:
                 raise EqualizerDivergence(mu, mse)
             if first_window_mse is None:
                 first_window_mse = max(mse, 1e-12)
@@ -128,10 +153,10 @@ class EqualizedStream:
 
 
 def apply_taps_cyclic(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Filter a cyclic block with center-referenced FFE taps.
+    """Filter a cyclic block with center-referenced FIR taps (zero group delay).
 
     Matches the alignment used during adaptation: tap j multiplies
-    x[k + half - j].
+    x[k + half - j].  Also applies the transmitter's pre-emphasis FIR.
     """
     n = x.size
     half = w.size // 2
@@ -189,18 +214,6 @@ def lms_equalize(
     decided = levels[np.searchsorted(mids, output)]
     mse_final = float(np.mean((output - decided) ** 2))
     return EqualizedStream(FfeTaps(w * gain, mu_dd), output, mse_train, mse_final)
-
-
-def lms_train_ffe(
-    rx: np.ndarray | SampleBuffer,
-    reference: SymbolSequence,
-    n_taps: int,
-    mu: float = 1e-3,
-    mu_dd: float = 1e-4,
-    train_fraction: float = 0.1,
-) -> FfeTaps:
-    """Train and return FFE coefficients (see :func:`lms_equalize`)."""
-    return lms_equalize(rx, reference, n_taps, mu, mu_dd, train_fraction).taps
 
 
 def zero_forcing_taps(channel: np.ndarray, n_taps: int) -> FfeTaps:
@@ -299,6 +312,16 @@ def mlse_detect(samples: np.ndarray | SampleBuffer, cfg: MlseConfig) -> SymbolSe
 
     Full-block traceback (deeper than the usual 5x-memory window); ties
     break toward the lower state index for reproducibility.
+
+    The predecessors of next-state ``s' = 4 g + u`` are ``g + d * group``
+    for d = 0..3, so viewing the metrics as ``(4, group, 1)`` lines every
+    predecessor up with its successors without a gather.  Branch metrics
+    are formed a chunk of symbols at a time by broadcasting.  Each
+    candidate is the same ``metric + (y - expected) ** 2`` as a per-edge
+    sum, so the surviving metrics are bit-exact, and ``argmin`` keeps the
+    lowest digit d, i.e. the lowest predecessor, on ties.  Only the 2-bit
+    digit d is stored per state and step (``uint8``); the traceback
+    rebuilds the predecessor from it.
     """
     y = samples.samples if isinstance(samples, SampleBuffer) else np.asarray(samples, dtype=np.float64)
     n = y.size
@@ -308,24 +331,31 @@ def mlse_detect(samples: np.ndarray | SampleBuffer, cfg: MlseConfig) -> SymbolSe
     # the edge consumes input symbol s' % 4
     nxt = np.arange(n_states)
     pred = (nxt // 4)[np.newaxis, :] + (np.arange(4) * group)[:, np.newaxis]
-    edge_expected = cfg.expected[pred, (nxt % 4)[np.newaxis, :]]
+    edge_expected = cfg.expected[pred, (nxt % 4)[np.newaxis, :]].reshape(4, group, 4)
 
     metrics = np.zeros(n_states)
     if cfg.start_state is not None:
         metrics = np.full(n_states, 1e30)
         metrics[cfg.start_state] = 0.0
-    bp = np.empty((n, n_states), dtype=np.uint16)
-    cols = np.arange(n_states)
-    for t in range(n):
-        cand = metrics[pred] + (y[t] - edge_expected) ** 2
-        best = np.argmin(cand, axis=0)
-        metrics = cand[best, cols]
-        bp[t] = pred[best, cols]
+    from_pred = metrics.reshape(4, group, 1)  # [d, g] = metric of state g + d * group
+    cand = np.empty((4, group, 4))  # [d, g, u]: edge from g + d * group to 4 * g + u
+    cand_by_next = cand.reshape(4, n_states)
+    digits = np.empty((n, n_states), dtype=np.uint8)
+    # branch metrics for up to 2048 symbols at a time, held to about 1 MB
+    chunk = max(1, min(2048, 2**17 // cand.size))
+    for t0 in range(0, n, chunk):
+        t1 = min(t0 + chunk, n)
+        branch = y[t0:t1, np.newaxis, np.newaxis, np.newaxis] - edge_expected
+        np.square(branch, out=branch)
+        for t, bm in enumerate(branch, t0):
+            np.add(from_pred, bm, out=cand)
+            digits[t] = cand_by_next.argmin(axis=0)
+            cand_by_next.min(axis=0, out=metrics)
     state = int(np.argmin(metrics))
     indices = np.empty(n, dtype=np.int64)
     for t in range(n - 1, -1, -1):
         indices[t] = state % 4
-        state = bp[t, state]
+        state = state // 4 + int(digits[t, state]) * group
     return SymbolSequence(indices, cfg.alphabet)
 
 

@@ -213,23 +213,13 @@ def pam_transmit(bits, cfg: PamTxConfig) -> SampleBuffer:
     shaped = sigproc.raised_cosine_shape(symbols, cfg.beta, int(double_os))
     wave = SampleBuffer(shaped.samples[::2], shaped.sample_rate / 2)
     if cfg.pre_emphasis_taps is not None:
-        wave = apply_fir_zero_phase(wave, np.asarray(cfg.pre_emphasis_taps))
+        taps = np.asarray(cfg.pre_emphasis_taps)
+        wave = SampleBuffer(adaptive.apply_taps_cyclic(wave.samples, taps), wave.sample_rate)
     if cfg.clipping_ratio_db is not None:
         wave = sigproc.clip(wave, cfg.clipping_ratio_db)
     full_scale = float(np.max(np.abs(wave.samples)))
     codes = sigproc.quantize(wave, cfg.dac_bits, full_scale)
     return sigproc.dequantize(codes, cfg.dac_bits, full_scale)
-
-
-def apply_fir_zero_phase(signal: SampleBuffer, taps: np.ndarray) -> SampleBuffer:
-    """Apply center-referenced FIR taps cyclically with zero group delay."""
-    n = len(signal)
-    kernel = np.zeros(n)
-    center = taps.size // 2
-    for i, t in enumerate(taps):
-        kernel[(i - center) % n] += t
-    spec = np.fft.rfft(signal.samples) * np.fft.rfft(kernel)
-    return SampleBuffer(np.fft.irfft(spec, n), signal.sample_rate)
 
 
 # ---------------------------------------------------------------------------

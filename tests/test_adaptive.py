@@ -11,7 +11,6 @@ from imddsim.adaptive import (
     gardner_recover,
     gardner_s_curve,
     lms_equalize,
-    lms_train_ffe,
     mlse_detect,
     train_preemphasis,
     zero_forcing_taps,
@@ -42,7 +41,7 @@ def circular_channel(levels, taps):
 
 class TestLmsFfe:
     def test_identity_channel_unit_center_tap(self, payload):
-        taps = lms_train_ffe(payload.levels, payload, n_taps=11)
+        taps = lms_equalize(payload.levels, payload, n_taps=11).taps
         coeffs = taps.coefficients
         assert coeffs[5] == pytest.approx(1.0, abs=0.02)
         others = np.delete(coeffs, 5)
@@ -70,7 +69,7 @@ class TestLmsFfe:
 
     def test_even_tap_count_rejected(self, payload):
         with pytest.raises(ValueError):
-            lms_train_ffe(payload.levels, payload, n_taps=10)
+            lms_equalize(payload.levels, payload, n_taps=10).taps
 
     def test_divergence_raises_with_mu(self, payload):
         # lms_equalize caps its own step size; the trainer with an explicit
