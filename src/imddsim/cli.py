@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate
-from .dmt import DmtConfig
+from .dmt import DmtConfig, LoadingError, SyncError
 from .evaluate import (
     DmtExperiment,
     PamExperiment,
@@ -364,8 +364,8 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     if cfg.format == "dmt":
         try:
             experiment.loading().to_csv(out / "loading_table.csv")
-        except Exception:
-            pass
+        except (LoadingError, SyncError) as exc:
+            print(f"note: no loading_table.csv ({type(exc).__name__}: {exc})", file=sys.stderr)
     else:
         from .adaptive import FfeTaps
 

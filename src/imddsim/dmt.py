@@ -202,6 +202,47 @@ def constellation(bits: int) -> np.ndarray:
     return points
 
 
+@lru_cache(maxsize=8)
+def _slicer_table(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Per-axis decision table of :func:`constellation`.
+
+    Every constellation is a subset of the product grid of its I levels
+    and its Q levels.  Returns the midpoints between the sorted I levels,
+    the midpoints between the sorted Q levels, a LUT from (I index,
+    Q index) to the constellation index, -1 where the grid has no point
+    (the four 32-cross corners), and whether the LUT has such holes.
+    """
+    points = constellation(bits)
+    i_levels, i_pos = np.unique(points.real, return_inverse=True)
+    q_levels, q_pos = np.unique(points.imag, return_inverse=True)
+    lut = np.full((i_levels.size, q_levels.size), -1, dtype=np.intp)
+    lut[i_pos, q_pos] = np.arange(points.size)
+    i_mid = (i_levels[1:] + i_levels[:-1]) / 2.0
+    q_mid = (q_levels[1:] + q_levels[:-1]) / 2.0
+    for table in (i_mid, q_mid, lut):
+        table.setflags(write=False)
+    return i_mid, q_mid, lut, points.size < lut.size
+
+
+def nearest_point(z: np.ndarray, bits: int) -> np.ndarray:
+    """Index of the :func:`constellation` point nearest to each sample of z
+    (any shape; the result has the same shape).
+
+    Two per-axis ``searchsorted`` calls and one LUT lookup decide; only the
+    samples that land on a missing 32-cross corner fall back to a
+    brute-force ``argmin |z - p|``.  The result equals ``argmin |z - p|``
+    everywhere except on exact distance ties (a sample on a decision
+    boundary), which continuous noise never produces.
+    """
+    i_mid, q_mid, lut, has_holes = _slicer_table(bits)
+    idx = lut[i_mid.searchsorted(z.real), q_mid.searchsorted(z.imag)]
+    if has_holes:
+        holes = idx < 0
+        if holes.any():
+            idx[holes] = np.argmin(np.abs(z[holes][:, None] - constellation(bits)), axis=1)
+    return idx
+
+
 def bits_to_symbol_indices(bits: np.ndarray, width: int) -> np.ndarray:
     weights = 1 << np.arange(width - 1, -1, -1)
     return bits.reshape(-1, width) @ weights
@@ -334,13 +375,17 @@ def cioffi_power_loading(loading: LoadingTable, snr: SnrProfile) -> LoadingTable
 # modem
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
 def training_symbols(loading: LoadingTable, cfg: DmtConfig) -> np.ndarray:
-    """Known QPSK training symbols, power-matched to the data loading."""
+    """Known QPSK training symbols, power-matched to the data loading
+    (cached per table and config; read-only)."""
     rng = np.random.default_rng(_TRAINING_SEED)
     qpsk = constellation(2)
     picks = rng.integers(0, 4, size=(cfg.training_symbols, cfg.usable_carriers))
     scale = np.sqrt(loading.power)
-    return qpsk[picks] * scale[np.newaxis, :]
+    known = qpsk[picks] * scale[np.newaxis, :]
+    known.setflags(write=False)
+    return known
 
 
 def _hermitian_time_symbols(carriers: np.ndarray, cfg: DmtConfig) -> np.ndarray:
@@ -358,24 +403,32 @@ def _hermitian_time_symbols(carriers: np.ndarray, cfg: DmtConfig) -> np.ndarray:
     return time_sym.real
 
 
+def _bit_classes(loading: LoadingTable):
+    """(b, carrier indices, bit columns) per loaded constellation size b.
+
+    The bit columns of a class are each carrier's slice of a data symbol's
+    bit row, carrier by carrier (carriers are packed in index order, so a
+    carrier's slice starts at the running sum of the bits before it)."""
+    offsets = np.cumsum(loading.bits) - loading.bits
+    for b in np.unique(loading.bits[loading.bits > 0]):
+        b = int(b)
+        cols = np.flatnonzero(loading.bits == b)
+        yield b, cols, (offsets[cols, np.newaxis] + np.arange(b)).reshape(-1)
+
+
 def map_frame_bits(bits: np.ndarray, loading: LoadingTable, cfg: DmtConfig) -> np.ndarray:
     """Bits to the (data_symbols, usable) carrier matrix."""
     bits = np.asarray(bits, dtype=np.int64)
     per_symbol = loading.total_bits
-    expected = cfg.data_symbols_per_frame * per_symbol
+    n_sym = cfg.data_symbols_per_frame
+    expected = n_sym * per_symbol
     if bits.size != expected:
         raise ValueError(f"frame needs {expected} bits, got {bits.size}")
-    table = bits.reshape(cfg.data_symbols_per_frame, per_symbol)
-    carriers = np.zeros((cfg.data_symbols_per_frame, cfg.usable_carriers), dtype=np.complex128)
-    offset = 0
-    for i in range(cfg.usable_carriers):
-        b = int(loading.bits[i])
-        if b == 0:
-            continue
-        group = table[:, offset : offset + b]
-        idx = bits_to_symbol_indices(group.reshape(-1), b)
-        carriers[:, i] = constellation(b)[idx] * np.sqrt(loading.power[i])
-        offset += b
+    table = bits.reshape(n_sym, per_symbol)
+    carriers = np.zeros((n_sym, cfg.usable_carriers), dtype=np.complex128)
+    for b, cols, bit_cols in _bit_classes(loading):
+        idx = bits_to_symbol_indices(table[:, bit_cols].reshape(-1), b).reshape(n_sym, cols.size)
+        carriers[:, cols] = constellation(b)[idx] * np.sqrt(loading.power[cols])
     return carriers
 
 
@@ -400,22 +453,28 @@ def dmt_modulate(
     return out
 
 
+@lru_cache(maxsize=32)
+def _training_template(loading: LoadingTable, cfg: DmtConfig) -> np.ndarray:
+    """The training symbols with their cyclic prefixes as one waveform:
+    the sync correlation template (cached per table and config)."""
+    t_sym = _hermitian_time_symbols(training_symbols(loading, cfg), cfg)
+    template = np.concatenate([t_sym[:, -cfg.cp_length :], t_sym], axis=1).reshape(-1)
+    template.setflags(write=False)
+    return template
+
+
 def _synchronize(rx: SampleBuffer, loading: LoadingTable, cfg: DmtConfig) -> np.ndarray:
     """Locate the frame start by correlating against the known training
     block; returns the frame-aligned samples."""
-    t_sym = _hermitian_time_symbols(training_symbols(loading, cfg), cfg)
-    t_cp = np.concatenate([t_sym[:, -cfg.cp_length :], t_sym], axis=1).reshape(-1)
+    t_cp = _training_template(loading, cfg)
     x = rx.samples
     if x.size < cfg.frame_length:
         raise SyncError(f"need {cfg.frame_length} samples per frame, got {x.size}")
-    template = np.zeros(x.size)
-    template[: t_cp.size] = t_cp
-    corr = np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(template)), x.size)
+    corr = np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(t_cp, x.size)), x.size)
     lag = int(np.argmax(corr))
     # scale-invariant quality score against the 0.5x-autocorrelation threshold
-    energy = np.cumsum(np.concatenate([x, x]) ** 2)
-    win = energy[lag + t_cp.size - 1] - (energy[lag - 1] if lag else 0.0)
-    quality = corr[lag] / max(np.sqrt(win) * np.linalg.norm(t_cp), 1e-30)
+    window = np.take(x, np.arange(lag, lag + t_cp.size), mode="wrap")
+    quality = corr[lag] / max(np.linalg.norm(window) * np.linalg.norm(t_cp), 1e-30)
     if quality < 0.5:
         raise SyncError(f"training correlation {quality:.2f} below the 0.5 threshold")
     return np.roll(x, -(lag - cfg.timing_advance))
@@ -437,20 +496,17 @@ def _equalize_frame(
     h[active] = h_est[active]
     w = 1.0 / h
     scale = np.sqrt(np.where(active, loading.power, 1.0))
+    classes = [(b, cols, constellation(b), scale[cols]) for b, cols, _ in _bit_classes(loading)]
     data = received[cfg.training_symbols :]
     equalized = np.empty_like(data)
-    points = {b: constellation(b) for b in np.unique(loading.bits) if b > 0}
+    decided = np.zeros_like(w)
     mu = cfg.eq_step
     for k in range(data.shape[0]):
         z = w * data[k]
         equalized[k] = z
         # decision-directed update toward the nearest scaled constellation point
-        decided = np.empty_like(z)
-        for b, pts in points.items():
-            cols = loading.bits == b
-            zc = z[cols] / scale[cols]
-            idx = np.argmin(np.abs(zc[:, None] - pts[None, :]), axis=1)
-            decided[cols] = pts[idx] * scale[cols]
+        for b, cols, pts, s in classes:
+            decided[cols] = pts[nearest_point(z[cols] / s, b)] * s
         err = np.where(active, decided - z, 0.0)
         w = w + mu * err * np.conj(data[k])
     return equalized, active
@@ -468,20 +524,17 @@ def dmt_demodulate(
     aligned = _synchronize(rx, loading, cfg)
     equalized, active = _equalize_frame(aligned, loading, cfg)
     scale = np.sqrt(np.where(active, loading.power, 1.0))
-    bits_out = []
+    n_sym = cfg.data_symbols_per_frame
+    bits_out = np.empty((n_sym, loading.total_bits), dtype=np.int64)
     evm = np.zeros(cfg.usable_carriers)
     normalized = equalized / scale[np.newaxis, :]
-    for i in range(cfg.usable_carriers):
-        b = int(loading.bits[i])
-        if b == 0:
-            continue
-        pts = constellation(b)
-        z = normalized[:, i]
-        idx = np.argmin(np.abs(z[:, None] - pts[None, :]), axis=1)
-        evm[i] = float(np.mean(np.abs(z - pts[idx]) ** 2))
-        bits_out.append(symbol_indices_to_bits(idx, b).reshape(cfg.data_symbols_per_frame, b))
-    bits_matrix = np.concatenate(bits_out, axis=1) if bits_out else np.empty((cfg.data_symbols_per_frame, 0), dtype=np.int64)
-    return bits_matrix.reshape(-1), evm
+    for b, cols, bit_cols in _bit_classes(loading):
+        # one contiguous row per carrier, so each EVM mean sums like a 1-D column
+        z = np.ascontiguousarray(normalized[:, cols].T)
+        idx = nearest_point(z, b)
+        evm[cols] = np.mean(np.abs(z - constellation(b)[idx]) ** 2, axis=1)
+        bits_out[:, bit_cols] = symbol_indices_to_bits(idx.T.reshape(-1), b).reshape(n_sym, -1)
+    return bits_out.reshape(-1), evm
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,6 @@ class FilterStage:
         return np.abs(self.response(freqs))
 
 
-DISPERSION_PLACEHOLDER = FilterStage(name="chromatic_dispersion", shape="flat")
-"""Chromatic dispersion stage; flat because the link runs at the 1308 nm
-dispersion minimum.  Ships disabled (not part of any preset cascade)."""
-
-
 def cascade_response(stages, freqs: np.ndarray) -> np.ndarray:
     resp = np.ones(np.asarray(freqs).shape, dtype=np.complex128)
     for stage in stages:

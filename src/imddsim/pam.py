@@ -92,13 +92,6 @@ def pr_encode(symbols: SymbolSequence) -> SymbolSequence:
     return SymbolSequence(indices, out_alphabet)
 
 
-def seven_level_decision(sample: float, alphabet) -> int:
-    """Index of the nearest level; exact midpoints resolve toward the
-    lower index."""
-    alphabet = np.asarray(alphabet, dtype=np.float64)
-    return int(np.argmin(np.abs(alphabet - sample)))
-
-
 # ---------------------------------------------------------------------------
 # level adjustment
 # ---------------------------------------------------------------------------
@@ -317,9 +310,7 @@ def _to_two_sps(signal: SampleBuffer, symbol_rate: float) -> SampleBuffer:
 def _fit_residual_channel(equalized: np.ndarray, true_levels: np.ndarray, memory: int) -> np.ndarray:
     """Least-squares post-FFE response of length memory+1 (for the
     FFE+MLSE combination, which replaces the hard decision)."""
-    n = equalized.size
     cols = [np.roll(true_levels, k) for k in range(memory + 1)]
     design = np.stack(cols, axis=1)
     h, *_ = np.linalg.lstsq(design, equalized, rcond=None)
-    # keep the main tap dominant and normalized orientation
     return h

@@ -61,23 +61,6 @@ class SampleBuffer:
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexSpectrum:
-    """FFT output: one complex value per bin, bins spaced `bin_spacing` Hz."""
-
-    bins: np.ndarray
-    bin_spacing: float
-
-    def __post_init__(self):
-        bins = np.array(self.bins, dtype=np.complex128)
-        if bins.ndim != 1 or bins.size < 1:
-            raise ValueError("ComplexSpectrum needs a non-empty 1-D bin array")
-        object.__setattr__(self, "bins", _readonly(bins))
-
-    def __len__(self) -> int:
-        return self.bins.size
-
-
-@dataclass(frozen=True, eq=False)
 class SymbolSequence:
     """Modulation symbols as indices into an explicit, increasing level alphabet."""
 
@@ -113,18 +96,8 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@lru_cache(maxsize=32)
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
 def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Iterative radix-2 FFT along the last axis (power-of-two sizes only).
+    """FFT along the last axis (power-of-two sizes only), via ``np.fft``.
 
     Vectorized over leading axes so a whole frame of DMT symbols transforms
     in one call.  The inverse includes the 1/N scale.
@@ -133,49 +106,7 @@ def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     n = x.shape[-1]
     if not _is_pow2(n):
         raise ValueError(f"FFT size must be a power of two, got {n}")
-    y = np.ascontiguousarray(x[..., _bit_reverse_permutation(n)], dtype=np.complex128)
-    sign = 1.0 if inverse else -1.0
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-        v = y.reshape(y.shape[:-1] + (n // m, m))
-        even = v[..., :half]
-        odd = v[..., half:] * tw
-        y = np.concatenate((even + odd, even - odd), axis=-1).reshape(y.shape)
-        m *= 2
-    if inverse:
-        y /= n
-    return y
-
-
-def fft(buffer: SampleBuffer | np.ndarray, size: int | None = None) -> ComplexSpectrum:
-    """Discrete Fourier transform of a real or complex sequence.
-
-    `size` must be a power of two and equal the input length; there is no
-    implicit padding.  ``ifft(fft(x))`` reconstructs x to numerical tolerance.
-    """
-    if isinstance(buffer, SampleBuffer):
-        data = buffer.samples
-        rate = buffer.sample_rate
-    else:
-        data = np.asarray(buffer)
-        rate = float(data.shape[-1])
-    if data.ndim != 1:
-        raise ValueError("fft expects a 1-D input")
-    if size is None:
-        size = data.size
-    if not _is_pow2(size):
-        raise ValueError(f"FFT size must be a power of two, got {size}")
-    if data.size != size:
-        raise ValueError(f"input length {data.size} does not match FFT size {size}")
-    return ComplexSpectrum(fft_pow2(data), bin_spacing=rate / size)
-
-
-def ifft(spectrum: ComplexSpectrum | np.ndarray) -> np.ndarray:
-    """Inverse of :func:`fft`; returns a complex array."""
-    bins = spectrum.bins if isinstance(spectrum, ComplexSpectrum) else np.asarray(spectrum)
-    return fft_pow2(bins, inverse=True)
+    return np.fft.ifft(x, axis=-1) if inverse else np.fft.fft(x, axis=-1)
 
 
 # ---------------------------------------------------------------------------

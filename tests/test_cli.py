@@ -241,3 +241,14 @@ mlse_memory = none
         assert rc == 2
         err = capsys.readouterr().err
         assert "point (40.0,)" in err and "Error" in err
+
+    def test_infeasible_loading_skips_loading_table_with_note(self, tmp_path, capsys):
+        text = PAPER_DMT.replace("bit_rate = 112e9", "bit_rate = 400e9")
+        text = text.replace("clipping_ratio_db = 15", "clipping_ratio_db = 10\nframes = 1")
+        cfg_path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
+        assert (out / "ber_vs_rop.csv").is_file()
+        assert not (out / "loading_table.csv").exists()
+        err = capsys.readouterr().err
+        assert "note: no loading_table.csv (LoadingError: target" in err

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from imddsim.link import (
-    DISPERSION_PLACEHOLDER,
     EmlCurve,
     FilterStage,
     LinkBudget,
@@ -81,14 +80,6 @@ class TestFilterStages:
         mags = 20 * np.log10(np.abs(cascade_response(stages, freqs)))
         crossing = freqs[np.argmax(mags < -3.0)]
         assert crossing < 15e9
-
-    def test_dispersion_placeholder_is_flat_and_unused(self):
-        freqs = np.linspace(0, 42e9, 16)
-        np.testing.assert_allclose(DISPERSION_PLACEHOLDER.magnitude(freqs), 1.0)
-        for preset in CHANNEL_PRESETS:
-            model = make_channel(preset)
-            names = [s.name for s in model.tx_stages + model.rx_stages]
-            assert "chromatic_dispersion" not in names
 
 
 class TestEmlCurve:

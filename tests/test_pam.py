@@ -14,7 +14,6 @@ from imddsim.pam import (
     pam_receive,
     pam_transmit,
     pr_encode,
-    seven_level_decision,
     adjusted_symbol_values,
 )
 from imddsim.link import apply_channel
@@ -107,23 +106,6 @@ class TestPartialResponse:
             low = freqs <= symbol_rate / 4
             return np.sum(psd[low]) / np.sum(psd)
         assert low_fraction(shaped_pr) > low_fraction(shaped_plain)
-
-
-class TestSevenLevelDecision:
-    ALPH = np.arange(-6.0, 7.0, 2.0)
-
-    def test_nearest(self):
-        assert seven_level_decision(0.1, self.ALPH) == 3
-
-    def test_midpoint_breaks_low(self):
-        assert seven_level_decision(1.0, self.ALPH) == 3  # level 0.0, not 2.0
-
-    def test_matches_argmin_scan(self):
-        rng = np.random.default_rng(2)
-        for sample in rng.uniform(-8, 8, 10_000):
-            got = seven_level_decision(sample, self.ALPH)
-            dists = np.abs(self.ALPH - sample)
-            assert dists[got] == dists.min()
 
 
 class TestLevelAdjustment:
