@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import difflib
+import itertools
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -17,34 +18,23 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluate
 from .dmt import DmtConfig, LoadingError, SyncError
-from .evaluate import (
-    DmtExperiment,
-    PamExperiment,
-    SweepPoint,
-    SweepResult,
-    SweepSpec,
-    latency_budget,
-    run_sweep,
-    sweep_to_csv,
-)
+from .evaluate import DmtExperiment, PamExperiment, SweepSpec, latency_budget, run_sweep
 from .link import CHANNEL_PRESETS, make_channel, preset_summary
 from .pam import PamRxConfig, PamTxConfig
 
 FORMATS = ("dmt", "nyquist_pam4", "pr_pam4")
 
-# swept-parameter names accepted in config files, mapped to experiment
-# attribute paths (None marks parameters needing special construction)
-SWEEP_PARAMETERS = {
-    "channel.voa_db": "channel.budget.voa_db",
-    "channel.snr_db": "channel.noise.snr_db",
-    "pam.rx_taps": "rx.n_ffe_taps",
-    "pam.tx_taps": "tx_preemphasis_taps",
-    "pam.mlse_memory": "rx.mlse_memory",
-    "dmt.clipping_ratio_db": "cfg.clipping_ratio_db",
-    "dmt.fft_length": None,
-}
+# config keys that [sweep] parameter / parameter2 may name
+SWEEP_PARAMETERS = (
+    "channel.voa_db",
+    "channel.snr_db",
+    "pam.rx_taps",
+    "pam.tx_taps",
+    "pam.mlse_memory",
+    "dmt.clipping_ratio_db",
+    "dmt.fft_length",
+)
 
 
 class ConfigError(Exception):
@@ -81,49 +71,6 @@ class ExperimentConfig:
     sweep_parameter2: str | None = None
     sweep_values2: tuple = ()
 
-    def to_ini(self) -> str:
-        swept = {self.sweep_parameter, self.sweep_parameter2}
-
-        def keep(section_key: str, line: str) -> list[str]:
-            return [] if section_key in swept else [line]
-
-        lines = ["[experiment]"]
-        lines.append(f"format = {self.format}")
-        lines.append(f"bit_rate = {self.bit_rate!r}")
-        lines.append(f"seed = {self.seed}")
-        lines.append(f"blocks = {self.blocks}")
-        lines += ["", "[channel]", f"preset = {self.preset}"]
-        lines += keep("channel.voa_db", f"voa_db = {self.voa_db!r}")
-        if self.preset == "awgn_only":
-            lines += keep("channel.snr_db", f"snr_db = {self.snr_db!r}")
-        if self.format == "dmt":
-            lines += ["", "[dmt]"]
-            lines += keep("dmt.fft_length", f"fft_length = {self.fft_length}")
-            lines.append(f"cp_fraction = {self.cp_fraction}")
-            lines.append(f"data_symbols = {self.data_symbols}")
-            lines.append(f"training_symbols = {self.training_symbols}")
-            lines += keep(
-                "dmt.clipping_ratio_db",
-                f"clipping_ratio_db = {self.dmt_clipping_ratio_db if self.dmt_clipping_ratio_db is not None else 'none'}",
-            )
-            lines.append(f"frames = {self.frames}")
-        else:
-            lines += ["", "[pam]"]
-            lines += keep("pam.tx_taps", f"tx_taps = {self.tx_taps}")
-            lines += keep("pam.rx_taps", f"rx_taps = {self.rx_taps}")
-            lines += keep(
-                "pam.mlse_memory",
-                f"mlse_memory = {self.mlse_memory if self.mlse_memory is not None else 'none'}",
-            )
-            lines.append(f"payload_order = {self.payload_order}")
-        if self.sweep_parameter:
-            lines += ["", "[sweep]", f"parameter = {self.sweep_parameter}"]
-            lines.append("values = " + ", ".join(_fmt(v) for v in self.sweep_values))
-            if self.sweep_parameter2:
-                lines.append(f"parameter2 = {self.sweep_parameter2}")
-                lines.append("values2 = " + ", ".join(_fmt(v) for v in self.sweep_values2))
-        return "\n".join(lines) + "\n"
-
 
 def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
@@ -133,21 +80,47 @@ def _fmt(value) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "experiment": {"format", "bit_rate", "seed", "blocks"},
-    "channel": {"preset", "voa_db", "snr_db"},
-    "dmt": {"fft_length", "cp_fraction", "data_symbols", "training_symbols",
-            "clipping_ratio_db", "frames"},
-    "pam": {"tx_taps", "rx_taps", "mlse_memory", "payload_order"},
-    "sweep": {"parameter", "values", "parameter2", "values2", "blocks"},
-}
-
-
 def _parse_number(text: str):
     try:
         return int(text)
     except ValueError:
         return float(text)
+
+
+def _optional(cast):
+    return lambda raw: None if raw.lower() == "none" else cast(raw)
+
+
+def _numbers(raw: str) -> tuple:
+    return tuple(_parse_number(v) for v in raw.split(","))
+
+
+# every config key -> (ExperimentConfig field, parser of its text); the
+# defaults live on ExperimentConfig alone
+_KEYS = {
+    "experiment.format": ("format", str),
+    "experiment.bit_rate": ("bit_rate", float),
+    "experiment.seed": ("seed", int),
+    "experiment.blocks": ("blocks", int),
+    "channel.preset": ("preset", str),
+    "channel.voa_db": ("voa_db", float),
+    "channel.snr_db": ("snr_db", float),
+    "dmt.fft_length": ("fft_length", int),
+    "dmt.cp_fraction": ("cp_fraction", Fraction),
+    "dmt.data_symbols": ("data_symbols", int),
+    "dmt.training_symbols": ("training_symbols", int),
+    "dmt.clipping_ratio_db": ("dmt_clipping_ratio_db", _optional(float)),
+    "dmt.frames": ("frames", int),
+    "pam.tx_taps": ("tx_taps", int),
+    "pam.rx_taps": ("rx_taps", int),
+    "pam.mlse_memory": ("mlse_memory", _optional(int)),
+    "pam.payload_order": ("payload_order", int),
+    "sweep.parameter": ("sweep_parameter", str),
+    "sweep.values": ("sweep_values", _numbers),
+    "sweep.parameter2": ("sweep_parameter2", str),
+    "sweep.values2": ("sweep_values2", _numbers),
+}
+_SECTIONS = {key.partition(".")[0] for key in _KEYS}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -163,55 +136,70 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError([f"syntax: {exc}"])
 
     errors: list[str] = []
+    given: set[str] = set()
+    fields = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             errors.append(f"{section}: unknown section")
             continue
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                errors.append(f"{section}.{key}: unknown key")
+            name = f"{section}.{key}"
+            if name not in _KEYS:
+                errors.append(f"{name}: unknown key")
+                continue
+            given.add(name)
+            field, parse = _KEYS[name]
+            try:
+                fields[field] = parse(parser.get(section, key).strip())
+            except (ValueError, ZeroDivisionError) as exc:
+                errors.append(f"{name}: {exc}")
+    if fields.get("format") not in FORMATS:
+        errors.append(
+            f"experiment.format: must be one of {', '.join(FORMATS)}, got {fields.get('format')!r}"
+        )
+        fields["format"] = "dmt"
+    cfg = _settled(ExperimentConfig(**fields), errors)
 
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key).strip()
+    sweeps = (("", cfg.sweep_parameter, cfg.sweep_values),
+              ("2", cfg.sweep_parameter2, cfg.sweep_values2))
+    for suffix, key, values in sweeps:
+        if key is None:
+            continue
+        if key not in SWEEP_PARAMETERS:
+            errors.append(
+                f"sweep.parameter{suffix}: unknown parameter {key!r} "
+                f"(known: {', '.join(sorted(SWEEP_PARAMETERS))})"
+            )
+        elif key in given:
+            errors.append(
+                f"sweep.parameter{suffix}: {key} is swept here but also fixed at "
+                f"{key}; remove one of the two"
+            )
+        if not values:
+            errors.append(f"sweep.values{suffix}: at least one value required")
+    swept = {cfg.sweep_parameter, cfg.sweep_parameter2}
+    if cfg.preset != "awgn_only" and "channel.snr_db" in given | swept:
+        errors.append(
+            f"channel.snr_db: preset {cfg.preset!r} sets its own noise; "
+            "an SNR applies only to preset 'awgn_only'"
+        )
+
+    if not errors:
         try:
-            return cast(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            errors.append(f"{section}.{key}: {exc}")
-            return default
+            point_configs(cfg)
+        except ConfigError as exc:
+            errors += exc.errors
+    if errors:
+        raise ConfigError(errors)
+    return cfg
 
-    def optional(cast):
-        return lambda raw: None if raw.lower() == "none" else cast(raw)
 
-    fmt = get("experiment", "format", str, None)
-    if fmt not in FORMATS:
-        errors.append(f"experiment.format: must be one of {', '.join(FORMATS)}, got {fmt!r}")
-        fmt = "dmt"
-    cfg = ExperimentConfig(
-        format=fmt,
-        bit_rate=get("experiment", "bit_rate", float, 112e9),
-        seed=get("experiment", "seed", int, 1),
-        blocks=get("experiment", "blocks", int, 1),
-        preset=get("channel", "preset", str, "paper_b2b"),
-        voa_db=get("channel", "voa_db", float, 0.0),
-        snr_db=get("channel", "snr_db", float, 20.0),
-        payload_order=get("pam", "payload_order", int, 8),
-        frames=get("dmt", "frames", int, 2),
-        fft_length=get("dmt", "fft_length", int, 512),
-        cp_fraction=get("dmt", "cp_fraction", Fraction, Fraction(1, 64)),
-        data_symbols=get("dmt", "data_symbols", int, 124),
-        training_symbols=get("dmt", "training_symbols", int, 4),
-        dmt_clipping_ratio_db=get("dmt", "clipping_ratio_db", optional(float), 10.0),
-        tx_taps=get("pam", "tx_taps", int, 11),
-        rx_taps=get("pam", "rx_taps", int, 41),
-        mlse_memory=get("pam", "mlse_memory", optional(int), None),
-    )
-    if cfg.mlse_memory is None and cfg.format == "pr_pam4":
-        cfg.mlse_memory = 1
-    if cfg.mlse_memory == 0:
-        cfg.mlse_memory = None
+def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
+    """`cfg` with its MLSE memory settled; appends every problem to `errors`.
 
+    The one check for a parsed config and for each of its sweep points.
+    PR PAM4 without a memory gets memory 1; memory 0 means no MLSE.
+    """
     if cfg.preset not in CHANNEL_PRESETS:
         hint = difflib.get_close_matches(cfg.preset, CHANNEL_PRESETS, n=1)
         suffix = f"; did you mean {hint[0]!r}?" if hint else ""
@@ -220,41 +208,46 @@ def parse_config(path) -> ExperimentConfig:
         errors.append(f"dmt.fft_length: not a power of two ({cfg.fft_length})")
     if cfg.blocks < 1:
         errors.append("experiment.blocks: must be >= 1")
-    for name, value in (("tx_taps", cfg.tx_taps), ("rx_taps", cfg.rx_taps)):
+    for key, value in (("pam.tx_taps", cfg.tx_taps), ("pam.rx_taps", cfg.rx_taps)):
         if value < 1 or value % 2 == 0:
-            errors.append(f"pam.{name}: FFE lengths must be odd and >= 1")
+            errors.append(f"{key}: FFE lengths must be odd and >= 1")
+    memory = cfg.mlse_memory
+    if cfg.format == "pr_pam4":
+        if memory is None:
+            memory = 1
+        elif memory < 1:
+            errors.append(f"pam.mlse_memory: pr_pam4 needs an MLSE memory >= 1, got {memory}")
+    return replace(cfg, mlse_memory=memory or None)
 
-    if parser.has_section("sweep"):
-        cfg.sweep_parameter = get("sweep", "parameter", str, None)
-        cfg.sweep_values = get(
-            "sweep", "values", lambda raw: tuple(_parse_number(v) for v in raw.split(",")), ()
-        )
-        cfg.sweep_parameter2 = get("sweep", "parameter2", str, None)
-        cfg.sweep_values2 = get(
-            "sweep", "values2", lambda raw: tuple(_parse_number(v) for v in raw.split(",")), ()
-        )
-        cfg.blocks = get("sweep", "blocks", int, cfg.blocks)
-        for label, param in (("parameter", cfg.sweep_parameter), ("parameter2", cfg.sweep_parameter2)):
-            if param is None:
-                continue
-            if param not in SWEEP_PARAMETERS:
-                errors.append(
-                    f"sweep.{label}: unknown parameter {param!r} "
-                    f"(known: {', '.join(sorted(SWEEP_PARAMETERS))})"
-                )
-            elif parser.has_option(*param.split(".", 1)):
-                errors.append(
-                    f"sweep.{label}: {param} is swept here but also fixed at "
-                    f"{param}; remove one of the two"
-                )
-        if cfg.sweep_parameter and not cfg.sweep_values:
-            errors.append("sweep.values: at least one value required")
-        if cfg.sweep_parameter2 and not cfg.sweep_values2:
-            errors.append("sweep.values2: at least one value required")
 
+def point_configs(cfg: ExperimentConfig) -> list[tuple[tuple, ExperimentConfig]]:
+    """(swept values, config) of every sweep point, in grid order.
+
+    A point's config is `cfg` with its swept keys fixed to the point's
+    values and no sweep, parsed and checked as if the file had fixed them.
+    Without a sweep the one point is `cfg`, labelled by its VOA.  Raises
+    ConfigError naming each bad swept value.
+    """
+    pairs = ((cfg.sweep_parameter, cfg.sweep_values), (cfg.sweep_parameter2, cfg.sweep_values2))
+    sweeps = [(key, values) for key, values in pairs if key is not None]
+    if not sweeps:
+        return [((cfg.voa_db,), cfg)]
+    base = replace(cfg, sweep_parameter=None, sweep_values=(),
+                   sweep_parameter2=None, sweep_values2=())
+    errors: list[str] = []
+    points = []
+    for values in itertools.product(*(values for _, values in sweeps)):
+        fields = {}
+        for (key, _), value in zip(sweeps, values):
+            field, parse = _KEYS[key]
+            try:
+                fields[field] = parse(str(value))
+            except ValueError as exc:
+                errors.append(f"{key}: {exc}")
+        points.append((values, _settled(replace(base, **fields), errors)))
     if errors:
-        raise ConfigError(errors)
-    return cfg
+        raise ConfigError(list(dict.fromkeys(errors)))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -288,44 +281,6 @@ def build_experiment(cfg: ExperimentConfig):
     )
 
 
-def _sweep_spec(cfg: ExperimentConfig, experiment):
-    if cfg.sweep_parameter is None:
-        spec = SweepSpec(parameter="channel.budget.voa_db", values=(cfg.voa_db,),
-                         blocks=cfg.blocks, base_seed=cfg.seed)
-        return spec, [cfg.voa_db], ["voa_db"]
-
-    def resolve(param, values):
-        target = SWEEP_PARAMETERS[param]
-        if param == "dmt.fft_length":
-            configs = tuple(
-                DmtConfig.for_fft_length(
-                    int(n),
-                    cp_fraction=cfg.cp_fraction,
-                    data_symbols_per_frame=cfg.data_symbols,
-                    training_symbols=cfg.training_symbols,
-                    clipping_ratio_db=cfg.dmt_clipping_ratio_db,
-                    target_bit_rate=cfg.bit_rate,
-                )
-                for n in values
-            )
-            return "cfg", configs
-        if param == "pam.mlse_memory":
-            return target, tuple(None if v == 0 else int(v) for v in values)
-        return target, values
-
-    p1, v1 = resolve(cfg.sweep_parameter, cfg.sweep_values)
-    if cfg.sweep_parameter2 is None:
-        spec = SweepSpec(parameter=p1, values=v1, blocks=cfg.blocks, base_seed=cfg.seed)
-        return spec, list(cfg.sweep_values), [cfg.sweep_parameter]
-    p2, v2 = resolve(cfg.sweep_parameter2, cfg.sweep_values2)
-    grid = tuple((a, b) for a in v1 for b in v2)
-    display = [
-        (da, db) for da in cfg.sweep_values for db in cfg.sweep_values2
-    ]
-    spec = SweepSpec(parameter=(p1, p2), values=grid, blocks=cfg.blocks, base_seed=cfg.seed)
-    return spec, display, [cfg.sweep_parameter, cfg.sweep_parameter2]
-
-
 def _latency_for(cfg: ExperimentConfig):
     distance = make_channel(cfg.preset).budget.fiber_km
     if cfg.format == "dmt":
@@ -343,24 +298,21 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    experiment = build_experiment(cfg)
-    spec, display_values, names = _sweep_spec(cfg, experiment)
-    result = run_sweep(experiment, spec, jobs=jobs)
+    points = point_configs(cfg)
+    names = [key for key in (cfg.sweep_parameter, cfg.sweep_parameter2) if key] or ["voa_db"]
+    spec = SweepSpec(values=tuple(values for values, _ in points), blocks=cfg.blocks,
+                     base_seed=cfg.seed)
+    result = run_sweep([build_experiment(point) for _, point in points], spec, jobs=jobs)
 
-    if isinstance(spec.parameter, tuple):
-        shown = SweepResult(
-            replace(spec, parameter=(names[0], names[1]), values=tuple(display_values)),
-            tuple(
-                SweepPoint(tuple(dv) if isinstance(dv, tuple) else (dv,), p.report, p.error)
-                for dv, p in zip(display_values, result.points)
-            ),
-        )
-        sweep_to_csv(shown, out / "sweep_grid.csv")
-        csv_written = "sweep_grid.csv"
+    if len(names) == 2:
+        _write_csv(out / "sweep_grid.csv", names,
+                   [[_fmt(v) for v in values] for values, _ in points], result.points)
     else:
-        _write_ber_vs_rop(cfg, names[0], display_values, result, out / "ber_vs_rop.csv")
-        csv_written = "ber_vs_rop.csv"
+        _write_csv(out / "ber_vs_rop.csv", [names[0], "rop_dbm"],
+                   [[_fmt(values[0]), f"{_rop_dbm(point):.6g}"] for values, point in points],
+                   result.points)
 
+    experiment = build_experiment(cfg)
     if cfg.format == "dmt":
         try:
             experiment.loading().to_csv(out / "loading_table.csv")
@@ -375,7 +327,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
 
     budget = _latency_for(cfg)
     (out / "latency.txt").write_text(budget.summary() + "\n")
-    _write_summary(cfg, names, display_values, result, budget, out / "summary.txt")
+    _write_summary(cfg, names, points, result, budget, out / "summary.txt")
 
     failed = [p for p in result.points if p.report is None]
     if failed:
@@ -385,30 +337,32 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     return 0
 
 
-def _rop_for(cfg: ExperimentConfig, param_name: str, value) -> float:
-    voa = value if param_name == "channel.voa_db" else cfg.voa_db
-    return make_channel(cfg.preset, voa_db=float(voa)).budget.rop_dbm
+def _rop_dbm(cfg: ExperimentConfig) -> float:
+    return make_channel(cfg.preset, voa_db=cfg.voa_db).budget.rop_dbm
 
 
-def _write_ber_vs_rop(cfg, param_name, values, result, path) -> None:
-    header = f"{param_name.replace('.', '_')},rop_dbm,bit_errors,bits_total,ber,kp4_pass,cibch_pass,wilson_low,wilson_high,error\n"
+def _write_csv(path, names, leads, points) -> None:
+    """Long-format CSV: each point's leading cells under `names` (dots
+    become underscores), then its error count, bit total, BER, FEC
+    verdicts and Wilson interval, or its error."""
+    header = [name.replace(".", "_") for name in names] + [
+        "bit_errors", "bits_total", "ber", "kp4_pass", "cibch_pass",
+        "wilson_low", "wilson_high", "error"]
     with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for value, point in zip(values, result.points):
-            rop = _rop_for(cfg, param_name, value)
-            cells = [_fmt(value), f"{rop:.6g}"]
-            if point.report is not None:
-                r = point.report
-                cells += [str(r.bit_errors), str(r.bits_total), f"{r.ber:.6e}",
-                          str(int(r.threshold_results["kp4"])),
-                          str(int(r.threshold_results["cibch"])),
-                          f"{r.confidence[0]:.6e}", f"{r.confidence[1]:.6e}", ""]
+        fh.write(",".join(header) + "\n")
+        for cells, point in zip(leads, points):
+            r = point.report
+            if r is not None:
+                cells = cells + [str(r.bit_errors), str(r.bits_total), f"{r.ber:.6e}",
+                                 str(int(r.threshold_results["kp4"])),
+                                 str(int(r.threshold_results["cibch"])),
+                                 f"{r.confidence[0]:.6e}", f"{r.confidence[1]:.6e}", ""]
             else:
-                cells += ["", "", "", "", "", "", "", point.error or "failed"]
+                cells = cells + [""] * 7 + [point.error]
             fh.write(",".join(cells) + "\n")
 
 
-def _write_summary(cfg, names, values, result, budget, path) -> None:
+def _write_summary(cfg, names, points, result, budget, path) -> None:
     lines = [
         f"format: {cfg.format}",
         f"bit rate: {cfg.bit_rate / 1e9:g} Gb/s",
@@ -417,8 +371,8 @@ def _write_summary(cfg, names, values, result, budget, path) -> None:
         "",
         "points:",
     ]
-    for value, point in zip(values, result.points):
-        label = ", ".join(f"{n}={v}" for n, v in zip(names, value if isinstance(value, tuple) else (value,)))
+    for (values, point_cfg), point in zip(points, result.points):
+        label = ", ".join(f"{n}={v}" for n, v in zip(names, values))
         if point.report is None:
             lines.append(f"  {label}: FAILED ({point.error})")
             continue
@@ -426,9 +380,8 @@ def _write_summary(cfg, names, values, result, budget, path) -> None:
         verdicts = " ".join(
             f"{name}:{'pass' if ok else 'fail'}" for name, ok in sorted(r.threshold_results.items())
         )
-        if names[0] == "channel.voa_db" or cfg.sweep_parameter is None:
-            rop = _rop_for(cfg, "channel.voa_db", value if not isinstance(value, tuple) else value[0])
-            label += f" (rop {rop:+.2f} dBm)"
+        if cfg.sweep_parameter in (None, "channel.voa_db"):
+            label += f" (rop {_rop_dbm(point_cfg):+.2f} dBm)"
         lines.append(f"  {label}: ber {r.ber:.3e} [{r.bit_errors}/{r.bits_total}] {verdicts}")
     lines += ["", budget.summary(), ""]
     Path(path).write_text("\n".join(lines))

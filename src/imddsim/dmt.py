@@ -274,11 +274,6 @@ def rate_to_bits(cfg: DmtConfig, sample_rate: float) -> int:
     return int(-(-per_symbol.numerator // per_symbol.denominator))
 
 
-def complexity_ops(fft_length: int) -> float:
-    """Relative implementation complexity of the modem: N log2 N."""
-    return fft_length * np.log2(fft_length)
-
-
 # ---------------------------------------------------------------------------
 # loading algorithms
 # ---------------------------------------------------------------------------

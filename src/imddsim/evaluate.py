@@ -240,26 +240,15 @@ def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel, sample_rate: flo
 # sweeps
 # ---------------------------------------------------------------------------
 
-def set_by_path(obj, path: str, value):
-    """Functional update of nested frozen dataclasses by dotted path."""
-    head, _, rest = path.partition(".")
-    if not hasattr(obj, head):
-        raise AttributeError(f"{type(obj).__name__} has no field {head!r}")
-    if rest:
-        return replace(obj, **{head: set_by_path(getattr(obj, head), rest, value)})
-    return replace(obj, **{head: value})
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    """A parameter sweep: dotted parameter path(s), values, fixed config.
+    """The points of a sweep: one label per point, blocks, base seed.
 
-    `parameter` may be one path (1-D sweep) or a pair of paths (2-D grid,
-    `values` holding (x, y) tuples).  Each point runs `blocks` independent
-    noise realizations seeded by base_seed XOR the point index.
+    `values[i]` labels point i; the CLI labels each point with the tuple
+    of its swept values.  Each point runs `blocks` independent noise
+    realizations seeded by base_seed XOR a multiple of the point index.
     """
 
-    parameter: str | tuple[str, str]
     values: tuple
     blocks: int = 1
     base_seed: int = 1
@@ -284,27 +273,16 @@ class SweepResult:
     spec: SweepSpec
     points: tuple[SweepPoint, ...]
 
-    def bers(self) -> list[float]:
-        return [p.report.ber if p.report else float("nan") for p in self.points]
-
-
-def _apply_point(experiment, spec: SweepSpec, values: tuple):
-    params = spec.parameter if isinstance(spec.parameter, tuple) else (spec.parameter,)
-    for path, value in zip(params, values):
-        experiment = set_by_path(experiment, path, value)
-    return experiment
-
 
 def run_point(experiment, spec: SweepSpec, index: int) -> SweepPoint:
-    raw = spec.values[index]
-    values = raw if isinstance(raw, tuple) else (raw,)
+    """Run point `index` of `spec` on `experiment`, its blocks summed."""
+    values = spec.values[index]
     try:
-        exp = _apply_point(experiment, spec, values)
         errors = 0
         total = 0
         for b in range(spec.blocks):
             seed = (spec.base_seed ^ (index * 0x9E3779B1)) + 7919 * b
-            tx_bits, rx_bits = exp.run_block(seed)
+            tx_bits, rx_bits = experiment.run_block(seed)
             report = count_ber(tx_bits, rx_bits)
             errors += report.bit_errors
             total += report.bits_total
@@ -313,53 +291,28 @@ def run_point(experiment, spec: SweepSpec, index: int) -> SweepPoint:
         return SweepPoint(values, None, f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(experiment, spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Run the full transmit-channel-receive-count pipeline per value.
+def run_sweep(experiments, spec: SweepSpec, jobs: int = 1) -> SweepResult:
+    """Run the full transmit-channel-receive-count pipeline per point,
+    `experiments[i]` for point i of `spec`.
 
     Deterministic under the per-point seed policy regardless of `jobs`; point
     failures are recorded and the sweep continues.
     """
-    indices = range(len(spec.values))
+    if len(experiments) != len(spec.values):
+        raise ValueError(f"{len(experiments)} experiments for {len(spec.values)} sweep points")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_run_point_star, ((experiment, spec, i) for i in indices)))
+            points = list(pool.map(_run_point_star,
+                                   ((e, spec, i) for i, e in enumerate(experiments))))
     else:
-        points = [run_point(experiment, spec, i) for i in indices]
+        points = [run_point(e, spec, i) for i, e in enumerate(experiments)]
     return SweepResult(spec, tuple(points))
 
 
 def _run_point_star(args):
     return run_point(*args)
-
-
-def sweep_to_csv(result: SweepResult, path, value_names=None) -> None:
-    """Stable long-format CSV: value column(s), errors, totals, BER,
-    threshold verdicts and the Wilson interval."""
-    params = result.spec.parameter
-    if value_names is None:
-        value_names = list(params) if isinstance(params, tuple) else [params]
-    headers = value_names + ["bit_errors", "bits_total", "ber", "kp4_pass", "cibch_pass", "wilson_low", "wilson_high", "error"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(h.replace(".", "_") for h in headers) + "\n")
-        for point in result.points:
-            cells = [f"{v:.10g}" if isinstance(v, float) else str(v) for v in point.values]
-            if point.report is not None:
-                r = point.report
-                cells += [
-                    str(r.bit_errors),
-                    str(r.bits_total),
-                    f"{r.ber:.6e}",
-                    str(int(r.threshold_results.get("kp4", False))),
-                    str(int(r.threshold_results.get("cibch", False))),
-                    f"{r.confidence[0]:.6e}",
-                    f"{r.confidence[1]:.6e}",
-                    "",
-                ]
-            else:
-                cells += ["", "", "", "", "", "", "", point.error or "unknown"]
-            fh.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Core DSP primitives shared by all modulation chains.
 
-Transforms, FIR filtering, rational rate conversion, frequency-domain
-raised-cosine pulse shaping, de Bruijn sequence generation, clipping and
-quantization.  All amplitudes are dimensionless; absolute electrical and
+Transforms, rational rate conversion, frequency-domain raised-cosine
+pulse shaping, de Bruijn sequence generation, clipping and quantization.  All amplitudes are dimensionless; absolute electrical and
 optical scaling is the link model's business.
 
 Block-processing convention: every operation treats its input as one
@@ -110,20 +109,8 @@ def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# filtering and rate conversion
+# rate conversion
 # ---------------------------------------------------------------------------
-
-def fir_filter(signal: SampleBuffer, taps) -> SampleBuffer:
-    """Causal FIR filter: tap 0 multiplies the current sample.
-
-    Output length equals input length; the convolution tail is truncated.
-    """
-    taps = np.asarray(taps, dtype=np.float64)
-    if taps.ndim != 1 or taps.size == 0:
-        raise ValueError("taps must be a non-empty 1-D sequence")
-    out = np.convolve(signal.samples, taps)[: len(signal)]
-    return SampleBuffer(out, signal.sample_rate)
-
 
 def _resampled_length(n: int, up: int, down: int) -> int:
     if up < 1 or down < 1:

@@ -2,14 +2,20 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imddsim.cli import (
+    FORMATS,
+    SWEEP_PARAMETERS,
     ConfigError,
     build_experiment,
     list_presets,
     main,
     parse_config,
+    point_configs,
 )
+from imddsim.link import CHANNEL_PRESETS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -89,15 +95,97 @@ fft_length = 300
             parse_config(write_cfg(tmp_path, text))
         assert any("paper_10km" in e for e in err.value.errors)
 
-    def test_round_trip(self, tmp_path):
-        for name in ("fig10a.cfg", "fig12d.cfg", "fig15b.cfg"):
-            cfg = parse_config(CONFIGS / name)
-            again = parse_config(write_cfg(tmp_path, cfg.to_ini(), name))
-            assert again == cfg
+    def test_sweep_blocks_is_unknown(self, tmp_path):
+        text = PAPER_DMT + "\n[sweep]\nparameter = channel.voa_db\nvalues = 1, 2\nblocks = 3\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert err.value.errors == ["sweep.blocks: unknown key"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [PAPER_DMT.replace("preset = paper_b2b", "preset = paper_b2b\nsnr_db = 5"),
+         PAPER_DMT + "\n[sweep]\nparameter = channel.snr_db\nvalues = 5\n"],
+        ids=["fixed", "swept"],
+    )
+    def test_snr_needs_awgn_only(self, tmp_path, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith("channel.snr_db: preset 'paper_b2b'")
+
+    @pytest.mark.parametrize(
+        "fmt, key, values",
+        [("nyquist_pam4", "pam.rx_taps", "4, 5"),
+         ("nyquist_pam4", "pam.tx_taps", "5.5"),
+         ("dmt", "dmt.fft_length", "300"),
+         ("pr_pam4", "pam.mlse_memory", "0, 1")],
+    )
+    def test_bad_swept_value_is_the_fixed_config_error(self, tmp_path, capsys, fmt, key, values):
+        base = f"[experiment]\nformat = {fmt}\n\n[channel]\npreset = paper_b2b\n"
+        section, name = key.split(".")
+        swept = write_cfg(tmp_path, base + f"\n[sweep]\nparameter = {key}\nvalues = {values}\n")
+        fixed = write_cfg(tmp_path, base + f"\n[{section}]\n{name} = {values.split(',')[0]}\n",
+                          "fixed.cfg")
+        with pytest.raises(ConfigError) as err:
+            parse_config(swept)
+        with pytest.raises(ConfigError) as fixed_err:
+            parse_config(fixed)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(f"{key}: ")
+        assert err.value.errors == fixed_err.value.errors
+        assert main(["--config", str(swept), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {key}: " in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
+
+
+ODD_TAPS = st.integers(0, 30).map(lambda k: 2 * k + 1)
+DECIBELS = st.one_of(st.integers(-3, 30), st.floats(-3.0, 30.0).map(lambda v: round(v, 3)))
+SWEEP_VALUES = {
+    "channel.voa_db": DECIBELS,
+    "channel.snr_db": DECIBELS,
+    "pam.rx_taps": ODD_TAPS,
+    "pam.tx_taps": ODD_TAPS,
+    "pam.mlse_memory": st.integers(0, 4),
+    "dmt.clipping_ratio_db": DECIBELS,
+    "dmt.fft_length": st.sampled_from([2**k for k in range(2, 13)]),
+}
+
+
+class TestPointConfigs:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_point_is_the_config_with_the_key_fixed(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("points")
+        for key in SWEEP_PARAMETERS:
+            section, name = key.split(".")
+            formats = {"dmt": ["dmt"], "pam": ["nyquist_pam4", "pr_pam4"]}.get(section, FORMATS)
+            fmt = data.draw(st.sampled_from(formats))
+            presets = ["awgn_only"] if key == "channel.snr_db" else CHANNEL_PRESETS
+            preset = data.draw(st.sampled_from(presets))
+            strategy = SWEEP_VALUES[key]
+            if fmt == "pr_pam4" and key == "pam.mlse_memory":
+                strategy = st.integers(1, 4)
+            values = data.draw(st.lists(strategy, min_size=1, max_size=3))
+
+            base = f"[experiment]\nformat = {fmt}\nseed = 4\n\n[channel]\npreset = {preset}\n"
+            sweep = f"\n[sweep]\nparameter = {key}\nvalues = {', '.join(map(str, values))}\n"
+            points = point_configs(parse_config(write_cfg(directory, base + sweep)))
+            # labels keep the number type written in the file, so 0 prints as 0
+            assert [labels for labels, _ in points] == [(v,) for v in values]
+            assert [type(labels[0]) for labels, _ in points] == [type(v) for v in values]
+            for value, (_, point) in zip(values, points):
+                line = f"{name} = {value}\n"
+                fixed = base + (line if section == "channel" else f"\n[{section}]\n{line}")
+                fixed_cfg = parse_config(write_cfg(directory, fixed, "fixed.cfg"))
+                assert point == fixed_cfg
+                assert repr(point) == repr(fixed_cfg)  # also tells 3 from 3.0
+
+    def test_no_sweep_is_one_point_labelled_by_voa(self, tmp_path):
+        cfg = parse_config(write_cfg(tmp_path, PAPER_DMT.replace("paper_b2b", "paper_b2b\nvoa_db = 3")))
+        assert point_configs(cfg) == [((3.0,), cfg)]
 
 
 class TestCommittedConfigs:

@@ -13,7 +13,6 @@ from imddsim.dmt import (
     SyncError,
     chow_bit_loading,
     cioffi_power_loading,
-    complexity_ops,
     constellation,
     dmt_demodulate,
     dmt_modulate,
@@ -76,10 +75,6 @@ class TestRateArithmetic:
 
     def test_zero(self, cfg):
         assert rate_to_bits(replace(cfg, target_bit_rate=0.0), 84e9) == 0
-
-    def test_complexity_scaling(self):
-        assert complexity_ops(512) == pytest.approx(512 * 9)
-        assert complexity_ops(2048) / complexity_ops(512) == pytest.approx(2048 * 11 / (512 * 9))
 
 
 class TestConstellations:

@@ -1,9 +1,11 @@
 """Tests for the measurement and experiment layer."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from imddsim.cli import _fmt, _write_csv
 from imddsim.dmt import DmtConfig
 from imddsim.evaluate import (
     AlignmentError,
@@ -16,8 +18,6 @@ from imddsim.evaluate import (
     latency_budget,
     measure_extinction_and_oma,
     run_sweep,
-    set_by_path,
-    sweep_to_csv,
     wilson_interval,
 )
 from imddsim.link import make_channel
@@ -95,59 +95,65 @@ def experiment():
     )
 
 
+def at_snr(experiment, snr_db):
+    return replace(experiment, channel=make_channel("awgn_only", snr_db=snr_db, seed=9))
+
+
 class TestSweeps:
 
-    def test_set_by_path(self, experiment):
-        updated = set_by_path(experiment, "rx.n_ffe_taps", 7)
-        assert updated.rx.n_ffe_taps == 7
-        assert experiment.rx.n_ffe_taps == 5
-        with pytest.raises(AttributeError):
-            set_by_path(experiment, "rx.bogus", 1)
-
     def test_single_point_equals_single_run(self, experiment):
-        spec = SweepSpec(parameter="channel.noise.snr_db", values=(17.0,), blocks=1, base_seed=5)
-        result = run_sweep(experiment, spec)
+        spec = SweepSpec(values=(17.0,), blocks=1, base_seed=5)
+        result = run_sweep([at_snr(experiment, 17.0)], spec)
         tx_bits, rx_bits = experiment.run_block(seed=spec.base_seed)
         direct = count_ber(tx_bits, rx_bits)
         assert result.points[0].report.bit_errors == direct.bit_errors
 
     def test_deterministic_csv_bytes(self, experiment, tmp_path):
-        spec = SweepSpec(parameter="channel.noise.snr_db", values=(15.0, 18.0), blocks=2, base_seed=3)
+        spec = SweepSpec(values=(15.0, 18.0), blocks=2, base_seed=3)
+        experiments = [at_snr(experiment, snr) for snr in spec.values]
         paths = []
         for run in range(2):
-            result = run_sweep(experiment, spec)
+            result = run_sweep(experiments, spec)
             path = tmp_path / f"sweep{run}.csv"
-            sweep_to_csv(result, path)
+            _write_csv(path, ["channel.noise.snr_db"],
+                       [[_fmt(snr)] for snr in spec.values], result.points)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
     def test_point_failure_recorded_and_sweep_continues(self, experiment):
-        spec = SweepSpec(parameter="rx.n_ffe_taps", values=(4, 5), blocks=1, base_seed=1)
-        result = run_sweep(experiment, spec)  # 4 taps is invalid (even)
+        spec = SweepSpec(values=(4, 5), blocks=1, base_seed=1)
+        even = replace(experiment, rx=replace(experiment.rx, n_ffe_taps=4))
+        result = run_sweep([even, experiment], spec)  # 4 taps is invalid (even)
         assert result.points[0].report is None
         assert "ValueError" in result.points[0].error
         assert result.points[1].report is not None
 
     def test_two_dimensional_grid_csv(self, experiment, tmp_path):
-        spec = SweepSpec(
-            parameter=("rx.n_ffe_taps", "channel.noise.snr_db"),
-            values=((3, 16.0), (5, 16.0), (3, 18.0), (5, 18.0)),
-            blocks=1,
-        )
-        result = run_sweep(experiment, spec)
+        spec = SweepSpec(values=((3, 16.0), (5, 16.0), (3, 18.0), (5, 18.0)), blocks=1)
+        experiments = [
+            replace(at_snr(experiment, snr), rx=replace(experiment.rx, n_ffe_taps=taps))
+            for taps, snr in spec.values
+        ]
+        result = run_sweep(experiments, spec)
         path = tmp_path / "grid.csv"
-        sweep_to_csv(result, path)
+        _write_csv(path, ["rx.n_ffe_taps", "channel.noise.snr_db"],
+                   [[_fmt(v) for v in values] for values in spec.values], result.points)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("rx_n_ffe_taps,channel_noise_snr_db,")
         assert len(lines) == 5
 
     def test_parallel_matches_serial(self, experiment):
-        spec = SweepSpec(parameter="channel.noise.snr_db", values=(15.0, 17.0), blocks=1, base_seed=2)
-        serial = run_sweep(experiment, spec, jobs=1)
-        parallel = run_sweep(experiment, spec, jobs=2)
+        spec = SweepSpec(values=(15.0, 17.0), blocks=1, base_seed=2)
+        experiments = [at_snr(experiment, snr) for snr in spec.values]
+        serial = run_sweep(experiments, spec, jobs=1)
+        parallel = run_sweep(experiments, spec, jobs=2)
         assert [p.report.bit_errors for p in serial.points] == [
             p.report.bit_errors for p in parallel.points
         ]
+
+    def test_one_experiment_per_point(self, experiment):
+        with pytest.raises(ValueError, match="1 experiments for 2 sweep points"):
+            run_sweep([experiment], SweepSpec(values=(15.0, 17.0)))
 
 
 class TestLatency:

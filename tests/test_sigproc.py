@@ -17,7 +17,6 @@ from imddsim.sigproc import (
     debruijn_sequence,
     dequantize,
     fft_pow2,
-    fir_filter,
     fractional_delay,
     occupied_bandwidth,
     quantize,
@@ -89,40 +88,6 @@ class TestFft:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             fft_pow2(np.zeros(12))
-
-
-class TestFirFilter:
-    def test_identity(self):
-        sig = SampleBuffer([1.0, -2.0, 3.0], 1.0)
-        np.testing.assert_allclose(fir_filter(sig, [1.0]).samples, sig.samples)
-
-    def test_delay_and_add_impulse(self):
-        sig = SampleBuffer([1.0, 0.0, 0.0], 1.0)
-        np.testing.assert_allclose(fir_filter(sig, [1.0, 1.0]).samples, [1, 1, 0])
-
-    def test_matches_direct_convolution(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=50)
-        taps = rng.normal(size=5)
-        got = fir_filter(SampleBuffer(x, 1.0), taps).samples
-        want = np.array(
-            [sum(taps[k] * x[n - k] for k in range(5) if 0 <= n - k < 50) for n in range(50)]
-        )
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(5)
-        x, y = rng.normal(size=64), rng.normal(size=64)
-        taps = rng.normal(size=7)
-        lhs = fir_filter(SampleBuffer(2.5 * x - 1.5 * y, 1.0), taps).samples
-        rhs = 2.5 * fir_filter(SampleBuffer(x, 1.0), taps).samples - 1.5 * fir_filter(
-            SampleBuffer(y, 1.0), taps
-        ).samples
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_empty_taps_rejected(self):
-        with pytest.raises(ValueError):
-            fir_filter(SampleBuffer([1.0], 1.0), [])
 
 
 class TestResample:
