@@ -439,8 +439,12 @@ class ClockPhase:
             raise ValueError("clock phase must lie in [-0.5, 0.5) UI")
 
 
-def gardner_s_curve(signal: SampleBuffer, n_phases: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged Gardner detector output over a grid of trial phases.
+GARDNER_PHASES = 64
+"""Trial phases per unit interval of the Gardner S-curve."""
+
+
+def gardner_s_curve(signal: SampleBuffer) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged Gardner detector output over `GARDNER_PHASES` trial phases.
 
     `signal` must run at exactly 2 samples per symbol.  Returns (trial
     phases in UI, detector output per phase), each averaged over the whole
@@ -449,8 +453,8 @@ def gardner_s_curve(signal: SampleBuffer, n_phases: int = 64) -> tuple[np.ndarra
     x = signal.samples
     if x.size < 2000:
         raise ValueError("need at least 1000 symbols at 2 samples/symbol")
-    phases = np.arange(n_phases) / n_phases - 0.5
-    curve = np.empty(n_phases)
+    phases = np.arange(GARDNER_PHASES) / GARDNER_PHASES - 0.5
+    curve = np.empty(GARDNER_PHASES)
     spec = np.fft.rfft(x)
     freqs = np.fft.rfftfreq(x.size)
     for i, tau in enumerate(phases):
@@ -463,7 +467,7 @@ def gardner_s_curve(signal: SampleBuffer, n_phases: int = 64) -> tuple[np.ndarra
     return phases, curve
 
 
-def gardner_recover(signal: SampleBuffer, n_phases: int = 64, polarity: int = 1) -> ClockPhase:
+def gardner_recover(signal: SampleBuffer, polarity: int = 1) -> ClockPhase:
     """Estimate the sampling phase correction from the Gardner S-curve.
 
     Evaluates the averaged detector over one UI of trial delays and returns
@@ -477,7 +481,7 @@ def gardner_recover(signal: SampleBuffer, n_phases: int = 64, polarity: int = 1)
     whose spectral null at half the symbol rate inverts the transition
     statistics.
     """
-    phases, curve = gardner_s_curve(signal, n_phases)
+    phases, curve = gardner_s_curve(signal)
     curve = polarity * curve
     n = phases.size
     crossings = []

@@ -129,7 +129,8 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError([f"config file not found: {path}"])
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read as written: a "%" is a character, not interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:

@@ -16,6 +16,12 @@ from .sigproc import SampleBuffer, clip, fft_pow2
 _TRAINING_SEED = 0x7261696E
 _PROBE_SEED = 0x70726F62
 
+SNR_CEILING_DB = 60.0
+"""Cap on the per-carrier SNR estimate of :func:`estimate_snr`."""
+
+EQ_STEP = 1e-3
+"""Step size of the decision-directed 1-tap equalizer."""
+
 
 class SyncError(RuntimeError):
     """Frame synchronization failed (correlation peak below threshold)."""
@@ -45,9 +51,6 @@ class DmtConfig:
     max_loaded_carriers: int = 242
     clipping_ratio_db: float | None = 10.0
     target_bit_rate: float = 112e9
-    snr_ceiling_db: float = 60.0
-    eq_step: float = 1e-3
-    sync_advance: int | None = None
 
     def __post_init__(self):
         n = self.fft_length
@@ -84,7 +87,7 @@ class DmtConfig:
         """FFT-window backoff into the cyclic prefix.  The modeled channel
         responses are zero-phase (two-sided), so centering the guard halves
         the prefix between their causal and anticausal tails."""
-        return self.cp_length // 2 if self.sync_advance is None else self.sync_advance
+        return self.cp_length // 2
 
     @property
     def symbol_length(self) -> int:
@@ -134,7 +137,7 @@ class LoadingTable:
 
 
 def load_loading_csv(path) -> LoadingTable:
-    rows = np.genfromtxt(path, delimiter=",", names=True)
+    rows = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
     power = np.where(np.isfinite(rows["power_db"]), 10 ** (rows["power_db"] / 10.0), 0.0)
     return LoadingTable(rows["bits"].astype(int), power)
 
@@ -495,7 +498,6 @@ def _equalize_frame(
     data = received[cfg.training_symbols :]
     equalized = np.empty_like(data)
     decided = np.zeros_like(w)
-    mu = cfg.eq_step
     for k in range(data.shape[0]):
         z = w * data[k]
         equalized[k] = z
@@ -503,7 +505,7 @@ def _equalize_frame(
         for b, cols, pts, s in classes:
             decided[cols] = pts[nearest_point(z[cols] / s, b)] * s
         err = np.where(active, decided - z, 0.0)
-        w = w + mu * err * np.conj(data[k])
+        w = w + EQ_STEP * err * np.conj(data[k])
     return equalized, active
 
 
@@ -559,7 +561,7 @@ def estimate_snr(rx: SampleBuffer, cfg: DmtConfig) -> SnrProfile:
 
     Signal power over error-vector power after 1-tap equalization,
     averaged across the data symbols, against the known probe payload;
-    capped at the configured ceiling.  The probe payload is known in
+    capped at `SNR_CEILING_DB`.  The probe payload is known in
     full, so the channel tap comes from a least-squares fit over the
     whole frame rather than the four training symbols alone.
     """
@@ -574,7 +576,7 @@ def estimate_snr(rx: SampleBuffer, cfg: DmtConfig) -> SnrProfile:
     h = np.sum(received * np.conj(known), axis=0) / np.sum(np.abs(known) ** 2, axis=0)
     equalized = received[cfg.training_symbols :] / h
     err_power = np.mean(np.abs(equalized - known[cfg.training_symbols :]) ** 2, axis=0)
-    ceiling = 10.0 ** (cfg.snr_ceiling_db / 10.0)
+    ceiling = 10.0 ** (SNR_CEILING_DB / 10.0)
     with np.errstate(divide="ignore"):
         snr = np.minimum(1.0 / np.maximum(err_power, 1.0 / ceiling), ceiling)
     return SnrProfile(10.0 * np.log10(snr))

@@ -18,7 +18,7 @@ from . import dmt as dmt_mod
 from . import link as link_mod
 from . import pam as pam_mod
 from .adaptive import train_preemphasis, train_preemphasis_waveform
-from .link import ChannelModel, apply_channel, tx_component_model
+from .link import ChannelModel, apply_channel
 from .sigproc import (
     SampleBuffer,
     SymbolSequence,
@@ -28,10 +28,6 @@ from .sigproc import (
 )
 
 FEC_THRESHOLDS = {"kp4": 2e-4, "cibch": 4.4e-3}
-
-
-class AlignmentError(RuntimeError):
-    """Bit-stream alignment failed (no significant correlation peak)."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,23 +76,6 @@ def count_ber(tx_bits, rx_bits, thresholds=None) -> BerReport:
     return BerReport.from_counts(errors, tx.size, thresholds)
 
 
-def align_bits(tx_bits, rx_bits, threshold: float = 0.1) -> int:
-    """Cyclic lag aligning rx to tx by cross-correlation of +/-1 streams.
-
-    Raises :class:`AlignmentError` when the best peak is indistinguishable
-    from noise, which is reported distinctly from a high BER.
-    """
-    tx = 2.0 * np.asarray(tx_bits, dtype=np.float64) - 1.0
-    rx = 2.0 * np.asarray(rx_bits, dtype=np.float64) - 1.0
-    if tx.size != rx.size:
-        raise ValueError("alignment expects equal-length streams")
-    corr = np.fft.irfft(np.fft.rfft(rx) * np.conj(np.fft.rfft(tx)), tx.size)
-    lag = int(np.argmax(corr))
-    if corr[lag] / tx.size < threshold:
-        raise AlignmentError(f"correlation peak {corr[lag] / tx.size:.3f} below {threshold}")
-    return lag
-
-
 # ---------------------------------------------------------------------------
 # experiment pipelines
 # ---------------------------------------------------------------------------
@@ -108,9 +87,9 @@ def _payload(order: int) -> SymbolSequence:
 
 @lru_cache(maxsize=8)
 def _trained_preemphasis(n_taps: int, dac_rate: float, shaping: str = "none") -> tuple[float, ...]:
-    """Pre-emphasis taps learned on the transmitter component model
-    (DAC, driver, cables; the EML response and the notches stay in the
-    channel, mirroring the experimental procedure).
+    """Pre-emphasis taps learned on the driver side of the transmitter
+    (`link.TX_DRIVER_STAGES`: DAC, driver, cable; the EML response and the
+    notches stay in the channel, mirroring the experimental procedure).
 
     `shaping` "none" trains on the raw symbol-rate probe; "nyquist" and
     "pr" train on the format's shaped probe, confining the learned boost
@@ -118,9 +97,7 @@ def _trained_preemphasis(n_taps: int, dac_rate: float, shaping: str = "none") ->
     weaker pre-emphasis its concentrated spectrum asks for).
     """
     probe = _payload(8)
-    stages = tx_component_model(
-        include_eml_bandwidth=False, include_eml_dip=False, include_clock_notch=False
-    )
+    stages = link_mod.TX_DRIVER_STAGES
     if shaping == "none":
         probe_wave = SampleBuffer(probe.levels, dac_rate)
         observed = link_mod.apply_stages(probe_wave, stages)
@@ -134,10 +111,12 @@ def _trained_preemphasis(n_taps: int, dac_rate: float, shaping: str = "none") ->
 
 
 def _shaped_probe(symbols: SymbolSequence, dac_rate: float) -> SampleBuffer:
-    """Raised-cosine shaped probe at the DAC rate (1.5 samples/symbol)."""
-    at_symbol_rate = SampleBuffer(symbols.levels, dac_rate / 1.5)
-    shaped = raised_cosine_shape(at_symbol_rate, 0.1, 3)
-    return SampleBuffer(shaped.samples[::2], dac_rate)
+    """Probe shaped as :func:`pam.pam_transmit` shapes: raised cosine at
+    `pam.RC_BETA`, `pam.OVERSAMPLE` samples/symbol at the DAC rate."""
+    oversample = pam_mod.OVERSAMPLE
+    at_symbol_rate = SampleBuffer(symbols.levels, dac_rate / oversample)
+    shaped = raised_cosine_shape(at_symbol_rate, pam_mod.RC_BETA, oversample.numerator)
+    return SampleBuffer(shaped.samples[:: oversample.denominator], dac_rate)
 
 
 PAM_CLIPPING_DB = {"nyquist_pam4": 6.0, "pr_pam4": 5.0}
@@ -179,7 +158,7 @@ class PamExperiment:
 
     def run_block(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         payload = _payload(self.payload_order)
-        bits = pam_mod.pam4_demap(payload.indices, self.tx.mapping)
+        bits = pam_mod.pam4_demap(payload.indices)
         wave = pam_mod.pam_transmit(bits, self.resolve_tx())
         received = apply_channel(wave, self.channel, seed=seed)
         rx_bits = pam_mod.pam_receive(received, self.rx, payload)
@@ -201,9 +180,6 @@ class DmtExperiment:
 
     def loading(self) -> dmt_mod.LoadingTable:
         return _dmt_loading(self.cfg, self.channel, self.sample_rate)
-
-    def snr_profile(self) -> dmt_mod.SnrProfile:
-        return _dmt_snr(self.cfg, self.channel, self.sample_rate)
 
     def run_block(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         loading = self.loading()

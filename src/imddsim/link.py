@@ -1,9 +1,12 @@
 """Parametric model of the experimental transmission hardware.
 
-Transmitter component responses (DAC with zero-order-hold droop, driver,
-EML bandwidth plus its 7 GHz dip, the 21 GHz clock-line notch), the EML
-static power-vs-voltage curve, fiber/VOA attenuation, PIN/TIA bandwidth
-and compressive saturation, and seeded additive receiver noise.
+The component responses of the one modeled DAC/driver/EML/PIN-TIA/ADC
+chain are fixed filter-stage tuples: `TX_DRIVER_STAGES` (DAC with
+zero-order-hold droop, driver, cable reflection), `TX_STAGES` (those plus
+the EML bandwidth, its 7 GHz dip and the 21 GHz clock-line notch) and
+`RX_STAGES` (PIN/TIA, ADC and its band edge).  Around them: the EML static
+power-vs-voltage curve, fiber/VOA attenuation, PIN/TIA compressive
+saturation, and seeded additive receiver noise.
 
 Filter stages are smooth parametric prototypes matched to the quoted 3-dB
 bandwidths.  The receiver noise level, the ADC band-edge stage and the
@@ -15,7 +18,7 @@ ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +34,15 @@ class FilterStage:
     """One named stage of the link's frequency response.
 
     Shapes: "critically_damped" (n coincident real poles, 3-dB point at
-    cutoff_hz), "butterworth" (maximally flat, order-n), "zoh_sinc"
-    (zero-order-hold droop of a DAC running at cutoff_hz), "notch"
-    (Gaussian dip of notch_depth_db at cutoff_hz), "fir" (explicit causal
-    taps sampled at fir_rate_hz), "flat".
+    cutoff_hz), "zoh_sinc" (zero-order-hold droop of a DAC running at
+    cutoff_hz), "notch" (Gaussian dip of notch_depth_db at cutoff_hz),
+    "band_edge" (unity through cutoff_hz, a dB-linear taper to floor_db at
+    edge_stop_hz), "fir" (explicit causal taps sampled at fir_rate_hz).
     All stages except "fir" are zero-phase; |H(0)| = 1.
     """
 
     name: str
-    shape: str = "flat"
+    shape: str
     cutoff_hz: float = 0.0
     order: int = 2
     notch_depth_db: float = 0.0
@@ -52,8 +55,6 @@ class FilterStage:
     def response(self, freqs: np.ndarray) -> np.ndarray:
         """Complex response at the given frequencies (Hz)."""
         f = np.abs(np.asarray(freqs, dtype=np.float64))
-        if self.shape == "flat":
-            return np.ones_like(f, dtype=np.complex128)
         if self.shape == "band_edge":
             # unity through cutoff_hz, dB-linear taper to floor_db at
             # edge_stop_hz, flat floor beyond (effective converter band edge)
@@ -63,8 +64,6 @@ class FilterStage:
             # n identical real poles, 3-dB point at cutoff_hz
             pole = self.cutoff_hz / math.sqrt(2.0 ** (1.0 / self.order) - 1.0)
             return (1.0 + (f / pole) ** 2) ** (-self.order / 2.0) + 0j
-        if self.shape == "butterworth":
-            return 1.0 / np.sqrt(1.0 + (f / self.cutoff_hz) ** (2 * self.order)) + 0j
         if self.shape == "zoh_sinc":
             return np.abs(np.sinc(f / self.cutoff_hz)) + 0j
         if self.shape == "notch":
@@ -78,9 +77,6 @@ class FilterStage:
             phases = np.exp(-2j * np.pi * np.outer(np.atleast_1d(freqs), n) / self.fir_rate_hz)
             return (phases @ taps).reshape(np.asarray(freqs).shape)
         raise ValueError(f"unknown filter shape {self.shape!r}")
-
-    def magnitude(self, freqs: np.ndarray) -> np.ndarray:
-        return np.abs(self.response(freqs))
 
 
 def cascade_response(stages, freqs: np.ndarray) -> np.ndarray:
@@ -101,81 +97,37 @@ def apply_stages(signal: SampleBuffer, stages) -> SampleBuffer:
     return SampleBuffer(np.fft.irfft(spec, x.size), signal.sample_rate)
 
 
-def tx_component_model(
-    dac_bw_hz: float = 15e9,
-    driver_bw_hz: float = 25e9,
-    eml_bw_hz: float = 27e9,
-    sample_rate: float = 84e9,
-    include_dac: bool = True,
-    include_zoh: bool = True,
-    include_driver: bool = True,
-    include_cable_echo: bool = True,
-    include_eml_bandwidth: bool = True,
-    include_eml_dip: bool = True,
-    include_clock_notch: bool = True,
-) -> tuple[FilterStage, ...]:
-    """Transmit-side response cascade.
+TX_DRIVER_STAGES = (
+    FilterStage("dac", "critically_damped", 15e9, order=2),
+    FilterStage("dac_zoh", "zoh_sinc", 84e9),
+    FilterStage("driver", "critically_damped", 25e9, order=2),
+    # connector reflection a few cm down the cable; sits inside the
+    # 512-point cyclic prefix but outside the 256-point one
+    FilterStage("cable_echo", "fir", fir_taps=(1.0 / 1.07, 0.0, 0.0, 0.07 / 1.07), fir_rate_hz=84e9),
+)
+"""Transmitter stages ahead of the EML: the 84 GS/s DAC with its
+zero-order-hold droop, the driver and the cable.  The pre-emphasis trainer
+learns on these alone; the EML response and the notches stay in the
+channel, mirroring the experimental procedure."""
 
-    Smooth low-pass prototypes for DAC (plus its zero-order-hold droop),
-    driver and EML bandwidth, a weak short cable reflection, and the EML's
-    dip around 7 GHz plus the DAC/ADC clock-line notch at 21 GHz.  Every
-    stage can be toggled; with everything disabled the cascade is empty
-    (flat unity).
-    """
-    stages: list[FilterStage] = []
-    if include_dac:
-        stages.append(FilterStage("dac", "critically_damped", dac_bw_hz, order=2))
-    if include_zoh:
-        stages.append(FilterStage("dac_zoh", "zoh_sinc", sample_rate))
-    if include_driver:
-        stages.append(FilterStage("driver", "critically_damped", driver_bw_hz, order=2))
-    if include_cable_echo:
-        # connector reflection a few cm down the cable; sits inside the
-        # 512-point cyclic prefix but outside the 256-point one
-        echo = (1.0 / 1.07, 0.0, 0.0, 0.07 / 1.07)
-        stages.append(FilterStage("cable_echo", "fir", fir_taps=echo, fir_rate_hz=sample_rate))
-    if include_eml_bandwidth:
-        # smooth roll-off: single pole
-        stages.append(FilterStage("eml_bandwidth", "critically_damped", eml_bw_hz, order=1))
-    if include_eml_dip:
-        stages.append(FilterStage("eml_dip", "notch", 7e9, notch_depth_db=4.0, notch_width_hz=1.6e9))
-    if include_clock_notch:
-        stages.append(FilterStage("clock_notch", "notch", 21e9, notch_depth_db=8.0, notch_width_hz=1.0e9))
-    return tuple(stages)
+TX_STAGES = TX_DRIVER_STAGES + (
+    # smooth roll-off: single pole
+    FilterStage("eml_bandwidth", "critically_damped", 27e9, order=1),
+    FilterStage("eml_dip", "notch", 7e9, notch_depth_db=4.0, notch_width_hz=1.6e9),
+    FilterStage("clock_notch", "notch", 21e9, notch_depth_db=8.0, notch_width_hz=1.0e9),
+)
+"""Transmit-side response cascade: the driver side, then the EML bandwidth,
+the EML's dip around 7 GHz and the DAC/ADC clock-line notch at 21 GHz."""
 
-
-def rx_component_model(
-    pin_tia_bw_hz: float = 35e9,
-    adc_bw_hz: float = 18e9,
-    include_pin_tia: bool = True,
-    include_adc: bool = True,
-    include_adc_edge: bool = True,
-    adc_edge_start_hz: float = 26e9,
-    adc_edge_stop_hz: float = 33e9,
-    adc_edge_floor_db: float = -35.0,
-) -> tuple[FilterStage, ...]:
-    """Receive-side response cascade: PIN/TIA and ADC.
-
-    The "adc_edge" stage models the converter's steep effective band edge;
-    its corner frequencies are calibration constants fitted to the measured
-    per-subcarrier SNR cliff above 30 GHz.
-    """
-    stages: list[FilterStage] = []
-    if include_pin_tia:
-        stages.append(FilterStage("pin_tia", "critically_damped", pin_tia_bw_hz, order=2))
-    if include_adc:
-        stages.append(FilterStage("adc", "critically_damped", adc_bw_hz, order=2))
-    if include_adc_edge:
-        stages.append(
-            FilterStage(
-                "adc_edge",
-                "band_edge",
-                adc_edge_start_hz,
-                edge_stop_hz=adc_edge_stop_hz,
-                floor_db=adc_edge_floor_db,
-            )
-        )
-    return tuple(stages)
+RX_STAGES = (
+    FilterStage("pin_tia", "critically_damped", 35e9, order=2),
+    FilterStage("adc", "critically_damped", 18e9, order=2),
+    FilterStage("adc_edge", "band_edge", 26e9, edge_stop_hz=33e9, floor_db=-35.0),
+)
+"""Receive-side response cascade: PIN/TIA and ADC.  The "adc_edge" stage
+models the converter's steep effective band edge; its corner frequencies
+are calibration constants fitted to the measured per-subcarrier SNR cliff
+above 30 GHz."""
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +263,6 @@ class ChannelModel:
     noise: NoiseSpec = NoiseSpec()
     seed: int = 0
 
-    def with_voa(self, voa_db: float) -> "ChannelModel":
-        return replace(self, budget=replace(self.budget, voa_db=voa_db))
-
 
 def transmit_optical(tx: SampleBuffer, model: ChannelModel) -> SampleBuffer:
     """Tx filtering and EML modulation only: the optical waveform in mW
@@ -377,12 +326,12 @@ def _paper_channel(name: str, fiber_km: float, voa_db: float, seed: int) -> Chan
     eml = EmlCurve()
     return ChannelModel(
         name=name,
-        tx_stages=tx_component_model(),
+        tx_stages=TX_STAGES,
         eml=eml,
         eml_bias_v=eml.bias_v,
         eml_swing_v=1.0,
         budget=LinkBudget(fiber_km=fiber_km, voa_db=voa_db, launch_power_dbm=eml.power_at_bias_dbm),
-        rx_stages=rx_component_model(),
+        rx_stages=RX_STAGES,
         saturation_knee_mw=PAPER_SATURATION_KNEE_MW,
         noise=NoiseSpec(sigma=PAPER_NOISE_SIGMA),
         seed=seed,

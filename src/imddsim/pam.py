@@ -26,51 +26,31 @@ class PayloadSyncError(RuntimeError):
 # mapping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PamMapping:
-    """Bit-pair to PAM4 level table with the gray property."""
+GRAY_PAM4 = ((0, 0), (0, 1), (1, 1), (1, 0))
+"""Bit pair of each PAM4 level index, lowest level first (Gray: adjacent
+levels differ in exactly one bit)."""
 
-    bit_pairs: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 1), (1, 0))
-    levels: tuple[float, ...] = (-3.0, -1.0, 1.0, 3.0)
+PAM4_LEVELS = (-3.0, -1.0, 1.0, 3.0)
+"""The four equidistant PAM4 levels, in index order."""
 
-    def __post_init__(self):
-        if len(self.bit_pairs) != 4 or len(self.levels) != 4:
-            raise ValueError("PAM4 mapping needs exactly four entries")
-        if any(b2 <= b1 for b1, b2 in zip(self.levels, self.levels[1:])):
-            raise ValueError("levels must be strictly increasing")
-        for a, b in zip(self.bit_pairs, self.bit_pairs[1:]):
-            if (a[0] != b[0]) + (a[1] != b[1]) != 1:
-                raise ValueError("adjacent levels must differ in exactly one bit")
-
-    @property
-    def alphabet(self) -> np.ndarray:
-        return np.asarray(self.levels)
+# level index of each bit pair, looked up by 2 * first bit + second bit
+_INDEX_OF_PAIR = np.argsort([2 * b1 + b2 for b1, b2 in GRAY_PAM4])
 
 
-GRAY_PAM4 = PamMapping()
-
-PR_LEVELS = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0)
-
-
-def pam4_map(bits, mapping: PamMapping = GRAY_PAM4) -> SymbolSequence:
-    """Encode 2 bits per symbol; inverse of :func:`pam4_demap`."""
+def pam4_map(bits) -> SymbolSequence:
+    """Encode 2 bits per symbol on the Gray table; inverse of :func:`pam4_demap`."""
     bits = np.asarray(bits, dtype=np.int64)
     if bits.size % 2:
         raise ValueError("bit count must be even")
-    pair_to_index = {pair: i for i, pair in enumerate(mapping.bit_pairs)}
-    lut = np.empty(4, dtype=np.int64)
-    for pair, i in pair_to_index.items():
-        lut[pair[0] * 2 + pair[1]] = i
     pairs = bits.reshape(-1, 2) if bits.size else np.empty((0, 2), dtype=np.int64)
-    indices = lut[pairs[:, 0] * 2 + pairs[:, 1]]
-    return SymbolSequence(indices, mapping.alphabet)
+    indices = _INDEX_OF_PAIR[pairs[:, 0] * 2 + pairs[:, 1]]
+    return SymbolSequence(indices, PAM4_LEVELS)
 
 
-def pam4_demap(indices, mapping: PamMapping = GRAY_PAM4) -> np.ndarray:
+def pam4_demap(indices) -> np.ndarray:
     """Symbol indices back to the bit stream."""
     indices = np.asarray(indices, dtype=np.int64)
-    table = np.asarray(mapping.bit_pairs, dtype=np.int64)
-    return table[indices].reshape(-1)
+    return np.asarray(GRAY_PAM4, dtype=np.int64)[indices].reshape(-1)
 
 
 def pr_encode(symbols: SymbolSequence) -> SymbolSequence:
@@ -142,29 +122,30 @@ def level_adjustment_for_eml(
 # transmit chain
 # ---------------------------------------------------------------------------
 
+RC_BETA = 0.1
+"""Roll-off of the raised-cosine (Nyquist) pulse shaping."""
+
+OVERSAMPLE = Fraction(3, 2)
+"""DAC samples per symbol.  The shaper runs at the numerator (3 samples per
+symbol) and every denominator-th (second) sample is kept."""
+
+DAC_BITS = 8
+"""DAC resolution."""
+
+
 @dataclass(frozen=True)
 class PamTxConfig:
-    """Transmit chain settings; symbol_rate * oversample is the DAC rate."""
+    """Transmit chain settings; symbol_rate * OVERSAMPLE is the DAC rate."""
 
     symbol_rate: float = 56e9
-    beta: float = 0.1
-    oversample: Fraction = Fraction(3, 2)
     partial_response: bool = False
     level_adjust: LevelAdjustment | None = None
     pre_emphasis_taps: tuple[float, ...] | None = None
     clipping_ratio_db: float | None = 15.0
-    dac_bits: int = 8
-    mapping: PamMapping = GRAY_PAM4
-
-    def __post_init__(self):
-        if isinstance(self.oversample, float):
-            object.__setattr__(self, "oversample", Fraction(self.oversample).limit_denominator(64))
-        if self.oversample < 1:
-            raise ValueError("oversample must be >= 1")
 
     @property
     def dac_rate(self) -> float:
-        return float(self.symbol_rate * self.oversample)
+        return float(self.symbol_rate * OVERSAMPLE)
 
     @property
     def n_levels(self) -> int:
@@ -176,7 +157,7 @@ def adjusted_symbol_values(bits, cfg: PamTxConfig) -> SymbolSequence:
 
     These are the symbol values entering the pulse shaper.
     """
-    seq = pam4_map(bits, cfg.mapping)
+    seq = pam4_map(bits)
     if cfg.partial_response:
         seq = pr_encode(seq)
     if cfg.level_adjust is not None:
@@ -192,27 +173,25 @@ def adjusted_symbol_values(bits, cfg: PamTxConfig) -> SymbolSequence:
 def pam_transmit(bits, cfg: PamTxConfig) -> SampleBuffer:
     """Full transmit chain to the DAC output waveform.
 
-    map -> optional delay-and-add -> level adjustment -> pulse shaping at
-    twice the target oversampling -> take every second sample -> optional
+    map -> optional delay-and-add -> level adjustment -> raised-cosine
+    shaping at 3 samples/symbol -> keep every second sample -> optional
     pre-emphasis FIR -> clip -> quantize to the DAC resolution.  The
     returned waveform runs at the DAC rate (84 GS/s for the 112 Gb/s
     configuration) and includes the quantization error.
     """
     seq = adjusted_symbol_values(bits, cfg)
     symbols = SampleBuffer(seq.levels, cfg.symbol_rate)
-    double_os = 2 * cfg.oversample
-    if double_os.denominator != 1:
-        raise ValueError("oversample must be a multiple of 1/2")
-    shaped = sigproc.raised_cosine_shape(symbols, cfg.beta, int(double_os))
-    wave = SampleBuffer(shaped.samples[::2], shaped.sample_rate / 2)
+    shaped = sigproc.raised_cosine_shape(symbols, RC_BETA, OVERSAMPLE.numerator)
+    step = OVERSAMPLE.denominator
+    wave = SampleBuffer(shaped.samples[::step], shaped.sample_rate / step)
     if cfg.pre_emphasis_taps is not None:
         taps = np.asarray(cfg.pre_emphasis_taps)
         wave = SampleBuffer(adaptive.apply_taps_cyclic(wave.samples, taps), wave.sample_rate)
     if cfg.clipping_ratio_db is not None:
         wave = sigproc.clip(wave, cfg.clipping_ratio_db)
     full_scale = float(np.max(np.abs(wave.samples)))
-    codes = sigproc.quantize(wave, cfg.dac_bits, full_scale)
-    return sigproc.dequantize(codes, cfg.dac_bits, full_scale)
+    codes = sigproc.quantize(wave, DAC_BITS, full_scale)
+    return sigproc.dequantize(codes, DAC_BITS, full_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +208,8 @@ class PamRxConfig:
 
     symbol_rate: float = 56e9
     n_ffe_taps: int = 41
-    mu_train: float = 1e-3
-    mu_dd: float = 1e-4
-    train_fraction: float = 0.1
     mlse_memory: int | None = None
     partial_response: bool = False
-    mapping: PamMapping = GRAY_PAM4
 
     def __post_init__(self):
         if self.partial_response and self.mlse_memory is None:
@@ -276,29 +251,22 @@ def pam_receive(signal: SampleBuffer, cfg: PamRxConfig, payload: SymbolSequence)
     lag = _alignment_lag(at_symbols, reference.levels)
     at_symbols = np.roll(at_symbols, -lag)
 
-    eq = adaptive.lms_equalize(
-        at_symbols,
-        reference,
-        cfg.n_ffe_taps,
-        cfg.mu_train,
-        cfg.mu_dd,
-        cfg.train_fraction,
-    )
+    eq = adaptive.lms_equalize(at_symbols, reference, cfg.n_ffe_taps)
 
     if cfg.partial_response:
-        trellis = MlseConfig.partial_response(cfg.mapping.alphabet, cfg.mlse_memory)
+        trellis = MlseConfig.partial_response(PAM4_LEVELS, cfg.mlse_memory)
         indices = adaptive.mlse_detect(eq.output, trellis).indices
     elif cfg.mlse_memory is not None:
         h = _fit_residual_channel(eq.output, payload.levels, cfg.mlse_memory)
         trellis = MlseConfig.for_fir_channel(
-            h, cfg.mapping.alphabet, cfg.mlse_memory, start_symbol=None
+            h, PAM4_LEVELS, cfg.mlse_memory, start_symbol=None
         )
         indices = adaptive.mlse_detect(eq.output, trellis).indices
     else:
-        alphabet = cfg.mapping.alphabet
+        alphabet = np.asarray(PAM4_LEVELS)
         mids = (alphabet[1:] + alphabet[:-1]) / 2.0
         indices = np.searchsorted(mids, eq.output)
-    return pam4_demap(indices, cfg.mapping)
+    return pam4_demap(indices)
 
 
 def _to_two_sps(signal: SampleBuffer, symbol_rate: float) -> SampleBuffer:

@@ -51,10 +51,6 @@ class SampleBuffer:
         return self.samples.size
 
     @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    @property
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.samples**2)))
 

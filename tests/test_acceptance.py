@@ -223,9 +223,7 @@ def test_criterion_5_loopback_zero_error():
 def test_criterion_6_preemphasis_flatness():
     t0 = time.time()
     probe = _payload(8)
-    stages = link_mod.tx_component_model(
-        include_eml_bandwidth=False, include_eml_dip=False, include_clock_notch=False
-    )
+    stages = link_mod.TX_DRIVER_STAGES
     observed = link_mod.apply_stages(SampleBuffer(probe.levels, 84e9), stages)
     taps = train_preemphasis(probe, observed, n_taps=61)
     freqs = np.linspace(1e8, 30.8e9, 400)

@@ -15,7 +15,7 @@ from imddsim.adaptive import (
     train_preemphasis,
     zero_forcing_taps,
 )
-from imddsim.link import apply_stages, cascade_response, tx_component_model
+from imddsim.link import TX_DRIVER_STAGES, apply_stages, cascade_response
 from imddsim.sigproc import (
     SampleBuffer,
     debruijn_sequence,
@@ -185,9 +185,7 @@ class TestPreemphasis:
 
     def test_models_tx_chain_boost_and_flatness(self):
         probe = debruijn_sequence(4, 8)
-        stages = tx_component_model(
-            include_eml_bandwidth=False, include_eml_dip=False, include_clock_notch=False
-        )
+        stages = TX_DRIVER_STAGES
         observed = apply_stages(SampleBuffer(probe.levels, 84e9), stages)
         taps = train_preemphasis(probe, observed, n_taps=61)
         freqs = np.linspace(1e8, 30.8e9, 400)
@@ -225,7 +223,7 @@ class TestGardner:
 
     def test_s_curve_odd_symmetry(self, shaped):
         _, sig = shaped
-        phases, curve = gardner_s_curve(sig, n_phases=64)
+        phases, curve = gardner_s_curve(sig)
         # e(-tau) ~ -e(tau) about the lock point
         for k in range(1, 20):
             plus = curve[(32 + k) % 64]

@@ -140,6 +140,17 @@ fft_length = 300
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("value", ["5%", "%(x)s"])
+    def test_percent_is_a_plain_character(self, tmp_path, capsys, value):
+        path = write_cfg(tmp_path, PAPER_DMT.replace("seed = 3", f"seed = {value}"))
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.errors == [
+            f"experiment.seed: invalid literal for int() with base 10: '{value}'"
+        ]
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: experiment.seed: " in capsys.readouterr().err
+
 
 ODD_TAPS = st.integers(0, 30).map(lambda k: 2 * k + 1)
 DECIBELS = st.one_of(st.integers(-3, 30), st.floats(-3.0, 30.0).map(lambda v: round(v, 3)))

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imddsim.dmt import (
+    SNR_CEILING_DB,
     DmtConfig,
     LoadingError,
     LoadingTable,
@@ -21,6 +24,8 @@ from imddsim.dmt import (
     make_probe_frame,
     rate_to_bits,
     training_symbols,
+    bits_to_symbol_indices,
+    symbol_indices_to_bits,
     _hermitian_time_symbols,
 )
 from imddsim.link import ChannelModel, FilterStage, NoiseSpec, apply_channel, make_channel
@@ -64,6 +69,18 @@ class TestConfig:
             c = DmtConfig.for_fft_length(n)
             assert c.usable_carriers == n // 2 - 1
             assert c.max_loaded_carriers == n * 242 // 512
+
+
+class TestSymbolBits:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 6))
+    def test_indices_bits_round_trip(self, data, width):
+        values = data.draw(st.lists(st.integers(0, 2**width - 1), max_size=50))
+        indices = np.array(values, dtype=np.int64)
+        bits = symbol_indices_to_bits(indices, width)
+        # most significant bit first
+        assert "".join(map(str, bits)) == "".join(f"{v:0{width}b}" for v in values)
+        np.testing.assert_array_equal(bits_to_symbol_indices(bits, width), indices)
 
 
 class TestRateArithmetic:
@@ -225,7 +242,7 @@ class TestEstimateSnr:
         clean_cfg = replace(cfg, clipping_ratio_db=None)
         probe = make_probe_frame(clean_cfg)
         est = estimate_snr(probe, clean_cfg)
-        assert np.all(est.snr_db >= clean_cfg.snr_ceiling_db - 0.1)
+        assert np.all(est.snr_db >= SNR_CEILING_DB - 0.1)
 
     def test_known_injected_awgn(self, cfg):
         # white time-domain noise with a known per-carrier SNR of 20 dB
@@ -266,6 +283,23 @@ class TestLoadingCsv:
         back = load_loading_csv(path)
         np.testing.assert_array_equal(back.bits, loading.bits)
         np.testing.assert_allclose(back.power, loading.power, rtol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(carriers=st.lists(
+        st.tuples(st.integers(0, 6), st.floats(1e-6, 1e6)).map(lambda c: (c[0], c[1] if c[0] else 0.0)),
+        min_size=1, max_size=40))
+    def test_round_trip_property(self, tmp_path_factory, carriers):
+        bits, power = zip(*carriers)
+        loading = LoadingTable(bits, power)
+        path = tmp_path_factory.mktemp("loading") / "loading.csv"
+        loading.to_csv(path)
+        back = load_loading_csv(path)
+        np.testing.assert_array_equal(back.bits, loading.bits)
+        active = loading.bits > 0
+        assert np.all(back.power[~active] == 0.0)
+        # power_db is written with 6 significant digits
+        np.testing.assert_allclose(10 * np.log10(back.power[active]),
+                                   10 * np.log10(loading.power[active]), rtol=5e-6, atol=1e-12)
 
     def test_loading_invariants_enforced(self):
         with pytest.raises(ValueError):

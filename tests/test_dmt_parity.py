@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from imddsim.dmt import (
+    EQ_STEP,
     DmtConfig,
     _equalize_frame,
     _synchronize,
@@ -77,7 +78,7 @@ def oracle_equalize_frame(aligned, loading, cfg):
             idx = np.argmin(np.abs(zc[:, None] - pts[None, :]), axis=1)
             decided[cols] = pts[idx] * scale[cols]
         err = np.where(active, decided - z, 0.0)
-        w = w + cfg.eq_step * err * np.conj(data[k])
+        w = w + EQ_STEP * err * np.conj(data[k])
     return equalized
 
 

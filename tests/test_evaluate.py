@@ -8,12 +8,10 @@ import pytest
 from imddsim.cli import _fmt, _write_csv
 from imddsim.dmt import DmtConfig
 from imddsim.evaluate import (
-    AlignmentError,
     DmtExperiment,
     OpsModel,
     PamExperiment,
     SweepSpec,
-    align_bits,
     count_ber,
     latency_budget,
     measure_extinction_and_oma,
@@ -54,19 +52,6 @@ class TestCountBer:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             count_ber([0, 1], [0, 1, 1])
-
-    def test_alignment_recovers_lag(self):
-        rng = np.random.default_rng(3)
-        tx = rng.integers(0, 2, 65536)
-        rx = np.roll(tx, 1234)
-        assert align_bits(tx, rx) == 1234
-
-    def test_alignment_failure_distinct(self):
-        rng = np.random.default_rng(4)
-        tx = rng.integers(0, 2, 65536)
-        rx = np.random.default_rng(5).integers(0, 2, 65536)
-        with pytest.raises(AlignmentError):
-            align_bits(tx, rx)
 
     def test_wilson_interval_against_binomial(self):
         # coverage check at BER 1e-3 via a binomial Monte-Carlo oracle

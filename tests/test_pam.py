@@ -1,11 +1,14 @@
 """Tests for the Nyquist PAM4 and partial-response PAM4 chains."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imddsim.link import EmlCurve
 from imddsim.pam import (
+    GRAY_PAM4,
+    PAM4_LEVELS,
     LevelAdjustment,
-    PamMapping,
     PamRxConfig,
     PamTxConfig,
     level_adjustment_for_eml,
@@ -52,9 +55,20 @@ class TestMapping:
         with pytest.raises(ValueError):
             pam4_map([0, 1, 0])
 
-    def test_non_gray_mapping_rejected(self):
-        with pytest.raises(ValueError):
-            PamMapping(bit_pairs=((0, 0), (1, 1), (0, 1), (1, 0)))
+    def test_gray_table_adjacent_levels_differ_in_one_bit(self):
+        assert sorted(GRAY_PAM4) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for a, b in zip(GRAY_PAM4, GRAY_PAM4[1:]):
+            assert (a[0] != b[0]) + (a[1] != b[1]) == 1
+        assert all(lo < hi for lo, hi in zip(PAM4_LEVELS, PAM4_LEVELS[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.sampled_from(GRAY_PAM4), max_size=64))
+    def test_map_demap_round_trip_on_gray_table(self, pairs):
+        bits = [bit for pair in pairs for bit in pair]
+        seq = pam4_map(bits)
+        np.testing.assert_array_equal(seq.alphabet, PAM4_LEVELS)
+        np.testing.assert_array_equal(seq.indices, [GRAY_PAM4.index(p) for p in pairs])
+        np.testing.assert_array_equal(pam4_demap(seq.indices), bits)
 
 
 class TestPartialResponse:
