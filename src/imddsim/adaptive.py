@@ -216,23 +216,6 @@ def lms_equalize(
     return EqualizedStream(FfeTaps(w * gain, mu_dd), output, mse_train, mse_final)
 
 
-def zero_forcing_taps(channel: np.ndarray, n_taps: int) -> FfeTaps:
-    """Least-squares zero-forcing FFE for a known FIR channel.
-
-    Solves min ||conv(channel, w) - delta_center||^2; the independent
-    oracle for what an adapted FFE should approach on a noiseless channel.
-    """
-    h = np.asarray(channel, dtype=np.float64)
-    m = h.size + n_taps - 1
-    conv = np.zeros((m, n_taps))
-    for j in range(n_taps):
-        conv[j : j + h.size, j] = h
-    target = np.zeros(m)
-    target[(m - 1) // 2] = 1.0
-    w, *_ = np.linalg.lstsq(conv, target, rcond=None)
-    return FfeTaps(w, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # MLSE (Viterbi)
 # ---------------------------------------------------------------------------

@@ -461,18 +461,29 @@ def _training_template(loading: LoadingTable, cfg: DmtConfig) -> np.ndarray:
     return template
 
 
+@lru_cache(maxsize=2)
+def _template_spectrum(loading: LoadingTable, cfg: DmtConfig, n: int) -> tuple[np.ndarray, int, float]:
+    """Conjugate rfft of the sync template on an n-sample grid (read-only),
+    with the template's length and norm.  Two entries hold the probe and
+    the data loading of the current point."""
+    t_cp = _training_template(loading, cfg)
+    spectrum = np.conj(np.fft.rfft(t_cp, n))
+    spectrum.setflags(write=False)
+    return spectrum, t_cp.size, float(np.linalg.norm(t_cp))
+
+
 def _synchronize(rx: SampleBuffer, loading: LoadingTable, cfg: DmtConfig) -> np.ndarray:
     """Locate the frame start by correlating against the known training
     block; returns the frame-aligned samples."""
-    t_cp = _training_template(loading, cfg)
     x = rx.samples
     if x.size < cfg.frame_length:
         raise SyncError(f"need {cfg.frame_length} samples per frame, got {x.size}")
-    corr = np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(t_cp, x.size)), x.size)
+    template_spectrum, template_size, template_norm = _template_spectrum(loading, cfg, x.size)
+    corr = np.fft.irfft(np.fft.rfft(x) * template_spectrum, x.size)
     lag = int(np.argmax(corr))
     # scale-invariant quality score against the 0.5x-autocorrelation threshold
-    window = np.take(x, np.arange(lag, lag + t_cp.size), mode="wrap")
-    quality = corr[lag] / max(np.linalg.norm(window) * np.linalg.norm(t_cp), 1e-30)
+    window = np.take(x, np.arange(lag, lag + template_size), mode="wrap")
+    quality = corr[lag] / max(np.linalg.norm(window) * template_norm, 1e-30)
     if quality < 0.5:
         raise SyncError(f"training correlation {quality:.2f} below the 0.5 threshold")
     return np.roll(x, -(lag - cfg.timing_advance))

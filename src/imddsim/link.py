@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,14 +87,27 @@ def cascade_response(stages, freqs: np.ndarray) -> np.ndarray:
     return resp
 
 
+@lru_cache(maxsize=2)
+def _grid_response(stages: tuple[FilterStage, ...], n: int, sample_rate: float) -> np.ndarray:
+    """Cascade response on the rfft grid of an n-sample block (read-only).
+
+    Two entries hold the transmit and the receive cascade of the current
+    block length; a larger cache only adds resident memory."""
+    resp = cascade_response(stages, np.fft.rfftfreq(n, d=1.0 / sample_rate))
+    resp.setflags(write=False)
+    return resp
+
+
 def apply_stages(signal: SampleBuffer, stages) -> SampleBuffer:
-    """Apply a filter cascade by cyclic frequency-domain multiplication."""
+    """Apply a filter cascade by cyclic frequency-domain multiplication.
+
+    The cascade's response on the block's frequency grid is built once per
+    (stages, length, sample rate) and reused while it stays cached."""
     if not stages:
         return signal
     x = signal.samples
     spec = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / signal.sample_rate)
-    spec *= cascade_response(stages, freqs)
+    spec *= _grid_response(tuple(stages), x.size, signal.sample_rate)
     return SampleBuffer(np.fft.irfft(spec, x.size), signal.sample_rate)
 
 

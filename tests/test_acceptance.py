@@ -236,7 +236,8 @@ def test_criterion_6_preemphasis_flatness():
 
     # partial response occupies a narrower band: boost at its own -20 dB edge
     from imddsim.pam import pr_encode
-    from imddsim.sigproc import occupied_bandwidth, raised_cosine_shape
+    from imddsim.sigproc import raised_cosine_shape
+    from spectral_helpers import occupied_bandwidth
 
     pr_wave = raised_cosine_shape(
         SampleBuffer(pr_encode(probe).levels, 56e9), 0.1, 3, 2

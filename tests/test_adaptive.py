@@ -13,7 +13,6 @@ from imddsim.adaptive import (
     lms_equalize,
     mlse_detect,
     train_preemphasis,
-    zero_forcing_taps,
 )
 from imddsim.link import TX_DRIVER_STAGES, apply_stages, cascade_response
 from imddsim.sigproc import (
@@ -37,6 +36,23 @@ def circular_channel(levels, taps):
     for k, t in enumerate(np.atleast_1d(taps)):
         out += t * np.roll(levels, k)
     return out
+
+
+def zero_forcing_taps(channel: np.ndarray, n_taps: int) -> FfeTaps:
+    """Least-squares zero-forcing FFE for a known FIR channel.
+
+    Solves min ||conv(channel, w) - delta_center||^2; the independent
+    oracle for what an adapted FFE should approach on a noiseless channel.
+    """
+    h = np.asarray(channel, dtype=np.float64)
+    m = h.size + n_taps - 1
+    conv = np.zeros((m, n_taps))
+    for j in range(n_taps):
+        conv[j : j + h.size, j] = h
+    target = np.zeros(m)
+    target[(m - 1) // 2] = 1.0
+    w, *_ = np.linalg.lstsq(conv, target, rcond=None)
+    return FfeTaps(w, 0.0)
 
 
 class TestLmsFfe:

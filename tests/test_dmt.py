@@ -135,6 +135,25 @@ class TestChowLoading:
         loading = chow_bit_loading(flat_snr, 716, cfg)
         assert np.all(loading.bits[cfg.max_loaded_carriers :] == 0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(snr_db=st.lists(st.floats(-15.0, 60.0), min_size=1, max_size=40), data=st.data())
+    def test_every_reachable_target_is_hit_exactly(self, snr_db, data):
+        max_loaded = data.draw(st.integers(1, len(snr_db)))
+        cfg = DmtConfig(usable_carriers=len(snr_db), max_loaded_carriers=max_loaded)
+        snr = SnrProfile(snr_db)
+        # the most bits the carriers carry at the -12 dB margin floor
+        gap, floor = 10.0 ** 0.98, 10.0 ** -1.2
+        snr_lin = 10.0 ** (np.asarray(snr_db[:max_loaded]) / 10.0)
+        maximum = int(np.clip(np.rint(np.log2(1.0 + snr_lin / (gap * floor))), 0, 6).sum())
+        for target in range(1, maximum + 1):
+            bits = chow_bit_loading(snr, target, cfg).bits
+            assert bits.sum() == target
+            assert bits.min() >= 0 and bits.max() <= 6
+            assert not bits[max_loaded:].any()
+        with pytest.raises(LoadingError) as err:
+            chow_bit_loading(snr, maximum + 1, cfg)
+        assert err.value.achievable == maximum
+
 
 class TestCioffiLoading:
     def test_uniform_case(self, cfg, flat_snr):

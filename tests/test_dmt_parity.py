@@ -6,6 +6,8 @@ The oracles are the per-carrier loops with an ``argmin |z - p|`` decision.
 On continuous noise the slicer decides exactly as argmin does, so the
 receiver comparisons here are exact (``np.array_equal``), never a tolerance.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,20 +16,24 @@ from hypothesis import strategies as st
 from imddsim.dmt import (
     EQ_STEP,
     DmtConfig,
+    SyncError,
     _equalize_frame,
     _synchronize,
+    _template_spectrum,
+    _training_template,
     bits_to_symbol_indices,
     constellation,
     dmt_demodulate,
     dmt_modulate,
     map_frame_bits,
     nearest_point,
+    probe_loading,
     symbol_indices_to_bits,
     training_symbols,
 )
 from imddsim.evaluate import DmtExperiment, count_ber
 from imddsim.link import apply_channel, make_channel
-from imddsim.sigproc import fft_pow2
+from imddsim.sigproc import SampleBuffer, fft_pow2
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +86,22 @@ def oracle_equalize_frame(aligned, loading, cfg):
         err = np.where(active, decided - z, 0.0)
         w = w + EQ_STEP * err * np.conj(data[k])
     return equalized
+
+
+def oracle_synchronize(rx, loading, cfg):
+    """The uncached three-FFT correlation: the template spectrum is
+    transformed afresh for every frame."""
+    t_cp = _training_template(loading, cfg)
+    x = rx.samples
+    if x.size < cfg.frame_length:
+        raise SyncError(f"need {cfg.frame_length} samples per frame, got {x.size}")
+    corr = np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(t_cp, x.size)), x.size)
+    lag = int(np.argmax(corr))
+    window = np.take(x, np.arange(lag, lag + t_cp.size), mode="wrap")
+    quality = corr[lag] / max(np.linalg.norm(window) * np.linalg.norm(t_cp), 1e-30)
+    if quality < 0.5:
+        raise SyncError(f"training correlation {quality:.2f} below the 0.5 threshold")
+    return np.roll(x, -(lag - cfg.timing_advance))
 
 
 def oracle_demodulate(rx, loading, cfg):
@@ -171,6 +193,34 @@ class TestReceiverParity:
         aligned = _synchronize(rx, loading, cfg)
         equalized, _ = _equalize_frame(aligned, loading, cfg)
         np.testing.assert_array_equal(equalized, oracle_equalize_frame(aligned, loading, cfg))
+
+    def test_synchronize_with_cached_template_spectrum(self, noisy_frame):
+        _, rx, loading, cfg = noisy_frame
+        probe = probe_loading(cfg)
+        shifted = SampleBuffer(np.roll(rx.samples, 1234), rx.sample_rate)
+        doubled = SampleBuffer(np.tile(rx.samples, 2), rx.sample_rate)
+        noise = SampleBuffer(np.random.default_rng(4).normal(size=rx.samples.size), rx.sample_rate)
+        with pytest.raises(SyncError):
+            oracle_synchronize(noise, loading, cfg)
+        # two loadings and two frame lengths in turn, so entries are
+        # evicted and rebuilt between uses
+        cases = ((rx, loading), (shifted, loading), (doubled, loading), (rx, probe), (noise, loading))
+        for _ in range(2):
+            for frame, table in cases:
+                try:
+                    expected = oracle_synchronize(frame, table, cfg)
+                except SyncError as err:
+                    with pytest.raises(SyncError, match=re.escape(str(err))):
+                        _synchronize(frame, table, cfg)
+                else:
+                    np.testing.assert_array_equal(_synchronize(frame, table, cfg), expected)
+                assert _template_spectrum.cache_info().currsize <= 2
+
+    def test_cached_template_spectrum_is_read_only(self, noisy_frame):
+        _, rx, loading, cfg = noisy_frame
+        spectrum, _, _ = _template_spectrum(loading, cfg, rx.samples.size)
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
 
     def test_demodulate_bits_and_evm(self, noisy_frame):
         bits, rx, loading, cfg = noisy_frame

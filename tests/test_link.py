@@ -17,8 +17,13 @@ from imddsim.link import (
     RX_STAGES,
     TX_DRIVER_STAGES,
     TX_STAGES,
+    _grid_response,
 )
 from imddsim.sigproc import SampleBuffer
+
+# the dispersive FIR stage of the DMT tests
+DISPERSION_FIR = FilterStage("disp", "fir", fir_taps=(1.0, 0.35, -0.2, 0.12, 0.05, -0.02),
+                             fir_rate_hz=84e9)
 
 
 class TestFilterStages:
@@ -72,6 +77,47 @@ class TestFilterStages:
         mags = 20 * np.log10(np.abs(cascade_response(stages, freqs)))
         crossing = freqs[np.argmax(mags < -3.0)]
         assert crossing < 15e9
+
+
+class TestGridResponseCache:
+    """`apply_stages` takes its response from a two-entry cache keyed on
+    (stages, length, sample rate); the output must equal the uncached
+    product of the cascade's response on the block's rfft grid."""
+
+    CASCADES = (TX_DRIVER_STAGES, TX_STAGES, RX_STAGES, (DISPERSION_FIR,))
+
+    @staticmethod
+    def uncached(x, stages, rate):
+        n = x.size
+        return np.fft.irfft(np.fft.rfft(x) * cascade_response(stages, np.fft.rfftfreq(n, 1.0 / rate)), n)
+
+    def test_alternating_grids_equal_uncached_product(self):
+        rng = np.random.default_rng(7)
+        grids = [(n, rate) for n in (4096, 4097) for rate in (84e9, 56e9)]
+        blocks = {n: rng.normal(size=n) for n, _ in grids}
+        # every cascade on every grid, twice over, so entries are evicted
+        # and rebuilt between uses
+        for _ in range(2):
+            for n, rate in grids:
+                for stages in self.CASCADES:
+                    x = blocks[n]
+                    out = apply_stages(SampleBuffer(x, rate), stages)
+                    np.testing.assert_array_equal(out.samples, self.uncached(x, stages, rate))
+                    assert out.sample_rate == rate
+                    assert _grid_response.cache_info().currsize <= 2
+
+    def test_repeated_call_hits_and_matches(self):
+        x = np.random.default_rng(8).normal(size=3001)
+        first = apply_stages(SampleBuffer(x, 84e9), TX_STAGES)
+        hits = _grid_response.cache_info().hits
+        second = apply_stages(SampleBuffer(x, 84e9), TX_STAGES)
+        assert _grid_response.cache_info().hits == hits + 1
+        np.testing.assert_array_equal(first.samples, second.samples)
+
+    def test_cached_response_is_read_only(self):
+        resp = _grid_response(RX_STAGES, 1024, 84e9)
+        with pytest.raises(ValueError):
+            resp[0] = 0.0
 
 
 class TestEmlCurve:

@@ -22,10 +22,11 @@ from imddsim.pam import (
 from imddsim.link import apply_channel
 from imddsim.sigproc import (
     SampleBuffer,
-    average_psd,
     debruijn_sequence,
     raised_cosine_shape,
 )
+
+from spectral_helpers import average_psd
 
 
 @pytest.fixture(scope="module")

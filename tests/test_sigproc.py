@@ -8,21 +8,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from imddsim.sigproc import (
     SampleBuffer,
     SymbolSequence,
-    average_psd,
     clip,
     debruijn_sequence,
     dequantize,
     fft_pow2,
     fractional_delay,
-    occupied_bandwidth,
     quantize,
     raised_cosine_shape,
     resample,
 )
+
+from spectral_helpers import average_psd, occupied_bandwidth
 
 
 def direct_dft(x):
@@ -115,6 +117,24 @@ class TestResample:
         back = resample(resample(sig, 3, 2), 2, 3)
         err_power = np.mean((back.samples - x) ** 2) / np.mean(x**2)
         assert err_power < 1e-4  # -40 dB
+
+    @settings(max_examples=60, deadline=None)
+    @given(up=st.integers(1, 7), down=st.integers(1, 7), blocks=st.integers(1, 12), data=st.data())
+    def test_band_limited_round_trip_is_exact(self, up, down, blocks, data):
+        # a block length every ratio divides: n * up / down is whole
+        n = blocks * down
+        m = n * up // down
+        # content strictly below the lower of the two Nyquist frequencies
+        bins = (min(n, m) + 1) // 2
+        coeffs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * bins, max_size=2 * bins))
+        spec = np.zeros(n // 2 + 1, dtype=np.complex128)
+        spec[:bins] = np.array(coeffs[:bins]) + 1j * np.array(coeffs[bins:])
+        spec[0] = spec[0].real
+        x = np.fft.irfft(spec, n)
+        assume(np.max(np.abs(x)) > 1e-6)
+        back = resample(resample(SampleBuffer(x, 1.0), up, down), down, up)
+        assert back.samples.size == n
+        np.testing.assert_allclose(back.samples, x, rtol=0, atol=1e-9 * np.max(np.abs(x)))
 
     def test_rejects_non_positive_ratio(self):
         with pytest.raises(ValueError):
