@@ -25,7 +25,8 @@ class EqualizerDivergence(RuntimeError):
 
 
 class ClockRecoveryError(RuntimeError):
-    """The Gardner S-curve produced no usable zero crossing."""
+    """The Gardner S-curve is too weak to lock to, or has no usable zero
+    crossing."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,9 +414,12 @@ def train_preemphasis(
 
 @dataclass(frozen=True)
 class ClockPhase:
-    """Fractional sampling phase correction in unit intervals, [-0.5, 0.5)."""
+    """Fractional sampling phase correction in unit intervals, [-0.5, 0.5),
+    and the lock strength: the amplitude of the circular S-curve over the
+    block's mean power."""
 
     offset_ui: float
+    amplitude: float
 
     def __post_init__(self):
         if not -0.5 <= self.offset_ui < 0.5:
@@ -426,28 +430,48 @@ GARDNER_PHASES = 64
 """Trial phases per unit interval of the Gardner S-curve."""
 
 
-def gardner_s_curve(signal: SampleBuffer) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged Gardner detector output over `GARDNER_PHASES` trial phases.
+def _s_curve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The block-averaged Gardner detector ``-mid * (on_time - prev)`` at
+    `GARDNER_PHASES` trial delays (trial phases in UI, detector output per
+    phase), and the amplitude of its circular part.
 
-    `signal` must run at exactly 2 samples per symbol.  Returns (trial
-    phases in UI, detector output per phase), each averaged over the whole
-    block.
+    Averaged over the circular block of N samples, the detector at a delay
+    of tau UI is exactly ``c0 cos 2 pi tau + c1 sin 2 pi tau`` with
+    ``c0 + j c1 = -4/N^2 sum_k X[k] X[N/2 - k] e^{-j 2 pi k/N}`` over the
+    rfft lines 0 < k < N/2: the products pair the lines f and Rs - f about
+    the band edge, the delay turns each pair by e^{-j 2 pi tau}, and the
+    pair of the DC and Nyquist lines cancels.  The detector averages only
+    the N/2 - 1 triples inside the block, so the triple that wraps from the
+    last mid sample to the first on-time sample is taken back out.  At the
+    trial delays d = 2 tau its samples x(-d), x(-1 - d) and x(-2 - d) lie on
+    the trial-delay grid from x(1) down to x(-3), which is summed directly
+    from the spectrum.
     """
-    x = signal.samples
-    if x.size < 2000:
-        raise ValueError("need at least 1000 symbols at 2 samples/symbol")
-    phases = np.arange(GARDNER_PHASES) / GARDNER_PHASES - 0.5
-    curve = np.empty(GARDNER_PHASES)
+    n = x.size
+    half = n // 2
     spec = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(x.size)
-    for i, tau in enumerate(phases):
-        delayed = np.fft.irfft(spec * np.exp(-2j * np.pi * freqs * (tau * 2.0)), x.size)
-        mid = delayed[1:-1:2]
-        on_time = delayed[2::2]
-        prev = delayed[0:-2:2]
-        # sign such that the positive-slope zero is the symbol-centered lock
-        curve[i] = -np.mean(mid * (on_time - prev))
-    return phases, curve
+    k = np.arange(spec.size)
+    advance = np.exp(2j * np.pi * k / n)
+    pairs = np.sum(spec[1:half] * spec[half - 1 : 0 : -1] * np.conj(advance[1:half]))
+    c0 = -4.0 * pairs.real / n**2
+    c1 = -4.0 * pairs.imag / n**2
+    phases = np.arange(GARDNER_PHASES) / GARDNER_PHASES - 0.5
+    circular = c0 * np.cos(2.0 * np.pi * phases) + c1 * np.sin(2.0 * np.pi * phases)
+    per_sample = GARDNER_PHASES // 2
+    # irfft weights: the DC and Nyquist lines once, the others twice
+    lines = spec * advance
+    lines[1:-1] *= 2.0
+    step = np.exp(-2j * np.pi * k / (per_sample * n))
+    edge = np.empty(GARDNER_PHASES + 2 * per_sample)
+    for j in range(edge.size):
+        edge[j] = lines.real.sum()
+        lines *= step
+    edge /= n
+    i = np.arange(GARDNER_PHASES)
+    on_time, mid, prev = edge[i], edge[i + per_sample], edge[i + 2 * per_sample]
+    wrapped = -mid * (on_time - prev)
+    curve = (half * circular - wrapped) / (half - 1)
+    return phases, curve, math.hypot(c0, c1)
 
 
 def gardner_recover(signal: SampleBuffer, polarity: int = 1) -> ClockPhase:
@@ -464,7 +488,13 @@ def gardner_recover(signal: SampleBuffer, polarity: int = 1) -> ClockPhase:
     whose spectral null at half the symbol rate inverts the transition
     statistics.
     """
-    phases, curve = gardner_s_curve(signal)
+    x = signal.samples
+    if x.size < 2000 or x.size % 2:
+        raise ValueError("need at least 1000 symbols at 2 samples/symbol")
+    phases, curve, strength = _s_curve(x)
+    power = float(np.mean(x * x))
+    if not math.isfinite(strength) or not strength > 1e-12 * power:
+        raise ClockRecoveryError(f"Gardner S-curve amplitude {strength:.3g} too weak to lock")
     curve = polarity * curve
     n = phases.size
     crossings = []
@@ -495,4 +525,4 @@ def gardner_recover(signal: SampleBuffer, polarity: int = 1) -> ClockPhase:
         # linear fallback between the bracketing points
         root = x0 + step * curve[i] / (curve[i] - curve[j])
     offset = (root + 0.5) % 1.0 - 0.5
-    return ClockPhase(float(np.clip(offset, -0.5, np.nextafter(0.5, 0))))
+    return ClockPhase(float(np.clip(offset, -0.5, np.nextafter(0.5, 0))), strength / power)

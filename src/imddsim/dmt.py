@@ -549,8 +549,10 @@ def dmt_demodulate(
 # SNR estimation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=2)
 def probe_loading(cfg: DmtConfig) -> LoadingTable:
-    """Uniform 16-QAM, equal power, across all usable carriers."""
+    """Uniform 16-QAM, equal power, across all usable carriers (one
+    read-only table per config, so the caches keyed by table hit)."""
     bits = np.full(cfg.usable_carriers, 4, dtype=np.int64)
     return LoadingTable(bits, np.ones(cfg.usable_carriers))
 

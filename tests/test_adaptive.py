@@ -1,15 +1,19 @@
 """Tests for the adaptive blocks: LMS FFE, MLSE, pre-emphasis trainer and
 Gardner clock recovery."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imddsim.adaptive import (
+    GARDNER_PHASES,
     ClockRecoveryError,
     EqualizerDivergence,
     FfeTaps,
     MlseConfig,
     gardner_recover,
-    gardner_s_curve,
     lms_equalize,
     mlse_detect,
     train_preemphasis,
@@ -220,6 +224,75 @@ class TestPreemphasis:
             train_preemphasis(probe, observed, n_taps=61)
 
 
+# ---------------------------------------------------------------------------
+# Gardner S-curve oracle: one inverse FFT per trial phase
+# ---------------------------------------------------------------------------
+
+def gardner_s_curve(signal: SampleBuffer, circular: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged Gardner detector output over `GARDNER_PHASES` trial phases.
+
+    `signal` must run at exactly 2 samples per symbol.  Returns (trial
+    phases in UI, detector output per phase), each averaged over the whole
+    block.  `circular` puts back the wrap-around triple (last mid sample,
+    first and last on-time samples) that the plain slices drop.
+    """
+    x = signal.samples
+    if x.size < 2000:
+        raise ValueError("need at least 1000 symbols at 2 samples/symbol")
+    phases = np.arange(GARDNER_PHASES) / GARDNER_PHASES - 0.5
+    curve = np.empty(GARDNER_PHASES)
+    spec = np.fft.rfft(x)
+    freqs = np.fft.rfftfreq(x.size)
+    for i, tau in enumerate(phases):
+        delayed = np.fft.irfft(spec * np.exp(-2j * np.pi * freqs * (tau * 2.0)), x.size)
+        if circular:
+            delayed = np.append(delayed, delayed[0])
+        mid = delayed[1:-1:2]
+        on_time = delayed[2::2]
+        prev = delayed[0:-2:2]
+        # sign such that the positive-slope zero is the symbol-centered lock
+        curve[i] = -np.mean(mid * (on_time - prev))
+    return phases, curve
+
+
+def parabola_root(phases: np.ndarray, curve: np.ndarray) -> float:
+    """The positive-slope zero crossing of a sampled S-curve with the
+    largest local slope, refined by a parabola through the grid points
+    around it (linear between the bracketing points if that fails), as
+    `gardner_recover` picks it."""
+    n = phases.size
+    crossings = []
+    for i in range(n):
+        j = (i + 1) % n
+        if curve[i] < 0.0 <= curve[j]:
+            crossings.append((i, j))
+    if not crossings:
+        raise ClockRecoveryError("no positive-slope zero crossing in the S-curve")
+    i, j = max(crossings, key=lambda ij: curve[ij[1]] - curve[ij[0]])
+    x0 = phases[i]
+    step = 1.0 / n
+    y_m, y_0, y_p = curve[i - 1], curve[i], curve[j]
+    denom = y_m - 2.0 * y_0 + y_p
+    root = None
+    if abs(denom) > 1e-18:
+        a = denom / (2.0 * step**2)
+        b = (y_p - y_m) / (2.0 * step)
+        disc = b * b - 4.0 * a * y_0
+        if disc >= 0.0:
+            for cand in ((-b + np.sqrt(disc)) / (2 * a), (-b - np.sqrt(disc)) / (2 * a)):
+                if 0.0 <= cand <= step:
+                    root = x0 + cand
+                    break
+    if root is None:
+        root = x0 + step * curve[i] / (curve[i] - curve[j])
+    return (root + 0.5) % 1.0 - 0.5
+
+
+def ui_distance(a: float, b: float) -> float:
+    """Distance between two phases on the one-UI circle."""
+    return abs((a - b + 0.5) % 1.0 - 0.5)
+
+
 @pytest.fixture(scope="module")
 def shaped():
     seq = debruijn_sequence(4, 7)
@@ -261,3 +334,71 @@ class TestGardner:
         # a pure DC block has no S-curve zero crossing with usable slope
         with pytest.raises((ClockRecoveryError, ValueError)):
             gardner_recover(SampleBuffer(np.ones(4096), 2.0))
+
+    def test_odd_length_rejected(self):
+        # the circular pairing of mid and on-time samples needs whole symbols
+        with pytest.raises(ValueError):
+            gardner_recover(SampleBuffer(np.ones(4097), 2.0))
+
+    def test_dc_block_has_no_lock(self):
+        with pytest.raises(ClockRecoveryError):
+            gardner_recover(SampleBuffer(np.ones(4096), 2.0))
+
+    def test_noise_lowers_lock_amplitude(self, shaped):
+        # noise below the excess band (|f| < 0.2 cycles/sample here, the
+        # band edge starts at 0.225) pairs with no line at Rs - f, so the
+        # circular S-curve is unchanged while the block's power grows
+        _, sig = shaped
+        rms = np.sqrt(np.mean(sig.samples**2))
+        white = np.fft.rfft(np.random.default_rng(5).normal(0.0, 3.0 * rms, sig.samples.size))
+        white[np.fft.rfftfreq(sig.samples.size) >= 0.2] = 0.0
+        noisy = SampleBuffer(sig.samples + np.fft.irfft(white, sig.samples.size), sig.sample_rate)
+        clean = gardner_recover(sig)
+        heavy = gardner_recover(noisy)
+        power_ratio = np.mean(sig.samples**2) / np.mean(noisy.samples**2)
+        assert power_ratio < 0.25
+        assert heavy.amplitude < clean.amplitude
+        assert heavy.amplitude == pytest.approx(clean.amplitude * power_ratio, rel=1e-9)
+
+
+@st.composite
+def band_limited_blocks(draw):
+    """Random raised-cosine PAM4 blocks at 2 samples/symbol, delayed by a
+    random fraction of a UI, with a random detector polarity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_symbols = draw(st.integers(1000, 4096))
+    beta = draw(st.floats(0.1, 1.0))
+    delay_ui = draw(st.floats(-0.5, 0.5))
+    polarity = draw(st.sampled_from((1, -1)))
+    levels = rng.choice(PAM4, n_symbols)
+    sig = raised_cosine_shape(SampleBuffer(levels, 1.0), beta, 2)
+    return fractional_delay(sig, 2.0 * delay_ui), polarity
+
+
+class TestGardnerCurve:
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=band_limited_blocks())
+    def test_circular_curve_is_one_harmonic(self, block):
+        sig, polarity = block
+        phases, curve = gardner_s_curve(sig, circular=True)
+        basis = np.column_stack([np.cos(2 * np.pi * phases), np.sin(2 * np.pi * phases)])
+        coeffs, *_ = np.linalg.lstsq(basis, curve, rcond=None)
+        residual = curve - basis @ coeffs
+        assert np.max(np.abs(residual)) <= 1e-9 * np.ptp(curve)
+        # the closed form's lock amplitude is the fitted harmonic's
+        power = np.mean(sig.samples**2)
+        assert gardner_recover(sig, polarity).amplitude == pytest.approx(
+            math.hypot(*coeffs) / power, rel=1e-9
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=band_limited_blocks())
+    def test_root_matches_oracle_parabola(self, block):
+        # the same crossing search and parabola on the oracle's curve: the
+        # curves agree to rounding, so the roots do too
+        sig, polarity = block
+        phases, curve = gardner_s_curve(sig)
+        expected = parabola_root(phases, polarity * curve)
+        got = gardner_recover(sig, polarity).offset_ui
+        assert ui_distance(got, expected) <= 1e-9

@@ -31,7 +31,7 @@ from imddsim.dmt import (
     symbol_indices_to_bits,
     training_symbols,
 )
-from imddsim.evaluate import DmtExperiment, count_ber
+from imddsim.evaluate import DmtExperiment, _dmt_loading, _dmt_snr, count_ber
 from imddsim.link import apply_channel, make_channel
 from imddsim.sigproc import SampleBuffer, fft_pow2
 
@@ -229,6 +229,20 @@ class TestReceiverParity:
         assert np.count_nonzero(got_bits != bits) > 0
         np.testing.assert_array_equal(got_bits, ref_bits)
         np.testing.assert_array_equal(got_evm, ref_evm)
+
+
+def test_probe_template_spectrum_built_once_per_config():
+    cfg = DmtConfig.for_fft_length(256)
+    assert probe_loading(cfg) is probe_loading(cfg)
+    # both points must estimate their SNR on the probe frame
+    _dmt_snr.cache_clear()
+    _dmt_loading.cache_clear()
+    _template_spectrum.cache_clear()
+    for voa_db in (2.8, 3.8):
+        DmtExperiment(cfg=cfg, channel=make_channel("paper_10km", voa_db=voa_db, seed=3),
+                      frames=1).run_block(seed=11)
+    # one probe entry shared by both points, one data entry per point
+    assert _template_spectrum.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("fft_length, n_bits, errors", [(256, 44392, 13), (2048, 355012, 33)])

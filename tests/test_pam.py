@@ -1,10 +1,14 @@
 """Tests for the Nyquist PAM4 and partial-response PAM4 chains."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imddsim.link import EmlCurve
+from imddsim.adaptive import gardner_recover
+from imddsim.evaluate import PamExperiment
+from imddsim.link import EmlCurve, NoiseSpec, make_channel
 from imddsim.pam import (
     GRAY_PAM4,
     PAM4_LEVELS,
@@ -18,6 +22,7 @@ from imddsim.pam import (
     pam_transmit,
     pr_encode,
     adjusted_symbol_values,
+    _to_two_sps,
 )
 from imddsim.link import apply_channel
 from imddsim.sigproc import (
@@ -234,3 +239,43 @@ class TestReceive:
     def test_pr_without_mlse_rejected(self):
         with pytest.raises(ValueError):
             PamRxConfig(partial_response=True, mlse_memory=None)
+
+
+class TestClockPhaseAcrossNoiseSeeds:
+    """The Gardner phase of one received 131,072-bit block at noise seeds
+    0-3, against the phase of the same block without receiver noise."""
+
+    @staticmethod
+    def phase(partial_response, preset, voa_db, noise_seed):
+        channel = make_channel(preset, voa_db=voa_db, seed=1)
+        if noise_seed is None:
+            channel = replace(channel, noise=NoiseSpec())
+        tx = PamTxConfig(partial_response=partial_response)
+        rx = PamRxConfig(partial_response=partial_response, mlse_memory=2 if partial_response else None)
+        exp = PamExperiment(tx=tx, rx=rx, channel=channel)
+        payload = debruijn_sequence(4, exp.payload_order)
+        wave = pam_transmit(pam4_demap(payload.indices), exp.resolve_tx())
+        received = apply_channel(wave, channel, seed=noise_seed)
+        return gardner_recover(_to_two_sps(received, rx.symbol_rate), -1 if partial_response else 1).offset_ui
+
+    @pytest.mark.parametrize(
+        "partial_response, preset, voa_db",
+        [
+            (False, "paper_10km", 3.8),
+            (True, "paper_b2b", 2.0),
+            pytest.param(
+                True, "paper_10km", 2.8,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="PR PAM4 clock phase is noise-dominated at 10 km: the duobinary null "
+                    "at Rs/2 leaves the detector little band-edge energy; seeds 0-3 give "
+                    "-0.010, +0.169, -0.046, +0.168 UI against a noiseless -0.012 UI",
+                ),
+            ),
+        ],
+        ids=["nyquist_10km_3.8dB", "pr_b2b_2dB", "pr_10km_2.8dB"],
+    )
+    def test_phase_stays_near_noiseless(self, partial_response, preset, voa_db):
+        noiseless = self.phase(partial_response, preset, voa_db, None)
+        spread = [self.phase(partial_response, preset, voa_db, seed) - noiseless for seed in range(4)]
+        assert max(abs(d) for d in spread) < 0.05
