@@ -34,7 +34,6 @@ class FfeTaps:
     """Feedforward equalizer coefficients, odd length, center-referenced."""
 
     coefficients: np.ndarray
-    step_size: float
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=np.float64)
@@ -214,7 +213,7 @@ def lms_equalize(
     mids = (levels[1:] + levels[:-1]) / 2.0
     decided = levels[np.searchsorted(mids, output)]
     mse_final = float(np.mean((output - decided) ** 2))
-    return EqualizedStream(FfeTaps(w * gain, mu_dd), output, mse_train, mse_final)
+    return EqualizedStream(FfeTaps(w * gain), output, mse_train, mse_final)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +372,7 @@ def train_preemphasis_waveform(
     w[n_taps // 2] = 1.0
     for _ in range(passes):
         _lms_pass(x, w, desired, dummy_levels, x.size, mu, mu)
-    return FfeTaps(w * gain, mu)
+    return FfeTaps(w * gain)
 
 
 def train_preemphasis(
@@ -405,7 +404,7 @@ def train_preemphasis(
     w[n_taps // 2] = 1.0
     for _ in range(passes):
         _lms_pass(x, w, desired_seq.levels, desired_seq.alphabet, x.size, mu, mu)
-    return FfeTaps(w * gain, mu)
+    return FfeTaps(w * gain)
 
 
 # ---------------------------------------------------------------------------

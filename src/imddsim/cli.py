@@ -21,7 +21,7 @@ import numpy as np
 from .dmt import DmtConfig, LoadingError, SyncError
 from .evaluate import DmtExperiment, PamExperiment, SweepSpec, latency_budget, run_sweep
 from .link import CHANNEL_PRESETS, make_channel, preset_summary
-from .pam import PamRxConfig, PamTxConfig
+from .pam import PamRxConfig
 
 FORMATS = ("dmt", "nyquist_pam4", "pr_pam4")
 
@@ -198,7 +198,8 @@ def parse_config(path) -> ExperimentConfig:
 def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
     """`cfg` with its MLSE memory settled; appends every problem to `errors`.
 
-    The one check for a parsed config and for each of its sweep points.
+    The one check for a parsed config, for each of its sweep points and
+    for the command-line overrides.
     PR PAM4 without a memory gets memory 1; memory 0 means no MLSE.
     """
     if cfg.preset not in CHANNEL_PRESETS:
@@ -207,8 +208,17 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append(f"channel.preset: unknown preset {cfg.preset!r}{suffix}")
     if cfg.fft_length < 4 or cfg.fft_length & (cfg.fft_length - 1):
         errors.append(f"dmt.fft_length: not a power of two ({cfg.fft_length})")
-    if cfg.blocks < 1:
-        errors.append("experiment.blocks: must be >= 1")
+    if cfg.seed < 0:
+        errors.append(f"experiment.seed: must be >= 0, got {cfg.seed}")
+    for key, value in (("experiment.blocks", cfg.blocks), ("dmt.frames", cfg.frames),
+                       ("dmt.training_symbols", cfg.training_symbols),
+                       ("dmt.data_symbols", cfg.data_symbols)):
+        if value < 1:
+            errors.append(f"{key}: must be >= 1, got {value}")
+    # 4**order payload symbols: clock recovery needs at least 1000 (order
+    # 5), and order 12 is the longest de Bruijn sequence generated
+    if not 5 <= cfg.payload_order <= 12:
+        errors.append(f"pam.payload_order: must be 5..12, got {cfg.payload_order}")
     for key, value in (("pam.tx_taps", cfg.tx_taps), ("pam.rx_taps", cfg.rx_taps)):
         if value < 1 or value % 2 == 0:
             errors.append(f"{key}: FFE lengths must be odd and >= 1")
@@ -267,17 +277,14 @@ def build_experiment(cfg: ExperimentConfig):
             target_bit_rate=cfg.bit_rate,
         )
         return DmtExperiment(cfg=dmt_cfg, channel=channel, frames=cfg.frames)
-    partial = cfg.format == "pr_pam4"
-    symbol_rate = cfg.bit_rate / 2.0
-    tx = PamTxConfig(symbol_rate=symbol_rate, partial_response=partial)
     rx = PamRxConfig(
-        symbol_rate=symbol_rate,
+        symbol_rate=cfg.bit_rate / 2.0,
         n_ffe_taps=cfg.rx_taps,
         mlse_memory=cfg.mlse_memory,
-        partial_response=partial,
+        partial_response=cfg.format == "pr_pam4",
     )
     return PamExperiment(
-        tx=tx, rx=rx, channel=channel, payload_order=cfg.payload_order,
+        rx=rx, channel=channel, payload_order=cfg.payload_order,
         tx_preemphasis_taps=cfg.tx_taps,
     )
 
@@ -303,7 +310,8 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     names = [key for key in (cfg.sweep_parameter, cfg.sweep_parameter2) if key] or ["voa_db"]
     spec = SweepSpec(values=tuple(values for values, _ in points), blocks=cfg.blocks,
                      base_seed=cfg.seed)
-    result = run_sweep([build_experiment(point) for _, point in points], spec, jobs=jobs)
+    experiments = [build_experiment(point) for _, point in points]
+    result = run_sweep(experiments, spec, jobs=jobs)
 
     if len(names) == 2:
         _write_csv(out / "sweep_grid.csv", names,
@@ -313,7 +321,8 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
                    [[_fmt(values[0]), f"{_rop_dbm(point):.6g}"] for values, point in points],
                    result.points)
 
-    experiment = build_experiment(cfg)
+    # the loading table and the pre-emphasis taps are those of the first point
+    experiment = experiments[0]
     if cfg.format == "dmt":
         try:
             experiment.loading().to_csv(out / "loading_table.csv")
@@ -324,7 +333,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
 
         taps = experiment.resolve_tx().pre_emphasis_taps
         if taps is not None:
-            FfeTaps(np.asarray(taps), 0.0).to_csv(out / "taps.csv")
+            FfeTaps(np.asarray(taps)).to_csv(out / "taps.csv")
 
     budget = _latency_for(cfg)
     (out / "latency.txt").write_text(budget.summary() + "\n")
@@ -414,16 +423,13 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.preset is not None:
-            if args.preset not in CHANNEL_PRESETS:
-                hint = difflib.get_close_matches(args.preset, CHANNEL_PRESETS, n=1)
-                raise ConfigError(
-                    [f"--preset: unknown preset {args.preset!r}"
-                     + (f"; did you mean {hint[0]!r}?" if hint else "")]
-                )
-            cfg.preset = args.preset
+        overrides = {name: value for name, value in (("seed", args.seed), ("preset", args.preset))
+                     if value is not None}
+        if overrides:
+            errors: list[str] = []
+            cfg = _settled(replace(cfg, **overrides), errors)
+            if errors:
+                raise ConfigError(errors)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -17,6 +17,7 @@ import numpy as np
 from . import dmt as dmt_mod
 from . import link as link_mod
 from . import pam as pam_mod
+# train_preemphasis is unused here: bound only for perfbench/spans.py, which wraps it
 from .adaptive import train_preemphasis, train_preemphasis_waveform
 from .link import ChannelModel, apply_channel
 from .sigproc import (
@@ -59,21 +60,20 @@ class BerReport:
         return self.bit_errors / self.bits_total if self.bits_total else float("nan")
 
     @classmethod
-    def from_counts(cls, errors: int, total: int, thresholds=None) -> "BerReport":
-        thresholds = FEC_THRESHOLDS if thresholds is None else thresholds
+    def from_counts(cls, errors: int, total: int) -> "BerReport":
         ber = errors / total if total else float("nan")
-        verdicts = {name: ber < limit for name, limit in thresholds.items()}
+        verdicts = {name: ber < limit for name, limit in FEC_THRESHOLDS.items()}
         return cls(errors, total, verdicts, wilson_interval(errors, total))
 
 
-def count_ber(tx_bits, rx_bits, thresholds=None) -> BerReport:
+def count_ber(tx_bits, rx_bits) -> BerReport:
     """Exact error count between two equal-length aligned bit streams."""
     tx = np.asarray(tx_bits, dtype=np.int64)
     rx = np.asarray(rx_bits, dtype=np.int64)
     if tx.size != rx.size:
         raise ValueError(f"bit streams differ in length ({tx.size} vs {rx.size})")
     errors = int(np.sum(tx != rx))
-    return BerReport.from_counts(errors, tx.size, thresholds)
+    return BerReport.from_counts(errors, tx.size)
 
 
 # ---------------------------------------------------------------------------
@@ -86,26 +86,19 @@ def _payload(order: int) -> SymbolSequence:
 
 
 @lru_cache(maxsize=8)
-def _trained_preemphasis(n_taps: int, dac_rate: float, shaping: str = "none") -> tuple[float, ...]:
+def _trained_preemphasis(n_taps: int, dac_rate: float, partial_response: bool) -> tuple[float, ...]:
     """Pre-emphasis taps learned on the driver side of the transmitter
     (`link.TX_DRIVER_STAGES`: DAC, driver, cable; the EML response and the
     notches stay in the channel, mirroring the experimental procedure).
 
-    `shaping` "none" trains on the raw symbol-rate probe; "nyquist" and
-    "pr" train on the format's shaped probe, confining the learned boost
-    to the band the format occupies (partial response ends up with the
-    weaker pre-emphasis its concentrated spectrum asks for).
+    Trains on the format's shaped probe, confining the learned boost to the
+    band the format occupies (partial response ends up with the weaker
+    pre-emphasis its concentrated spectrum asks for).
     """
     probe = _payload(8)
-    stages = link_mod.TX_DRIVER_STAGES
-    if shaping == "none":
-        probe_wave = SampleBuffer(probe.levels, dac_rate)
-        observed = link_mod.apply_stages(probe_wave, stages)
-        taps = train_preemphasis(probe, observed, n_taps)
-        return tuple(taps.coefficients)
-    symbols = pam_mod.pr_encode(probe) if shaping == "pr" else probe
+    symbols = pam_mod.pr_encode(probe) if partial_response else probe
     shaped = _shaped_probe(symbols, dac_rate)
-    observed = link_mod.apply_stages(shaped, stages)
+    observed = link_mod.apply_stages(shaped, link_mod.TX_DRIVER_STAGES)
     taps = train_preemphasis_waveform(shaped, observed, n_taps)
     return tuple(taps.coefficients)
 
@@ -131,7 +124,6 @@ extinction that the measurements show for it."""
 class PamExperiment:
     """One PAM4 / PR PAM4 transmit-channel-receive configuration."""
 
-    tx: pam_mod.PamTxConfig
     rx: pam_mod.PamRxConfig
     channel: ChannelModel
     payload_order: int = 8
@@ -139,21 +131,23 @@ class PamExperiment:
 
     @property
     def format_name(self) -> str:
-        return "pr_pam4" if self.tx.partial_response else "nyquist_pam4"
+        return "pr_pam4" if self.rx.partial_response else "nyquist_pam4"
 
     def resolve_tx(self) -> pam_mod.PamTxConfig:
-        tx = self.tx
-        if self.tx_preemphasis_taps is not None and tx.pre_emphasis_taps is None:
-            shaping = "pr" if tx.partial_response else "nyquist"
-            taps = _trained_preemphasis(self.tx_preemphasis_taps, tx.dac_rate, shaping)
+        """The transmitter: the receiver's symbol rate and format, the
+        format's clipping ratio, pre-emphasis trained with
+        `tx_preemphasis_taps` taps (none when None) and, on a link with the
+        EML, drive levels that pre-compensate its curve."""
+        tx = pam_mod.PamTxConfig(
+            symbol_rate=self.rx.symbol_rate,
+            partial_response=self.rx.partial_response,
+            clipping_ratio_db=PAM_CLIPPING_DB[self.format_name],
+        )
+        if self.tx_preemphasis_taps is not None:
+            taps = _trained_preemphasis(self.tx_preemphasis_taps, tx.dac_rate, tx.partial_response)
             tx = replace(tx, pre_emphasis_taps=taps)
-        if tx.clipping_ratio_db == pam_mod.PamTxConfig().clipping_ratio_db:
-            tx = replace(tx, clipping_ratio_db=PAM_CLIPPING_DB[self.format_name])
-        if tx.level_adjust is None and self.channel.eml is not None:
-            adjust = pam_mod.level_adjustment_for_eml(
-                self.channel.eml, self.channel.eml_bias_v, self.channel.eml_swing_v, tx.n_levels
-            )
-            tx = replace(tx, level_adjust=adjust)
+        if self.channel.eml:
+            tx = replace(tx, level_adjust=pam_mod.level_adjustment_for_eml(tx.n_levels))
         return tx
 
     def run_block(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,6 +159,10 @@ class PamExperiment:
         return bits, rx_bits
 
 
+DMT_SAMPLE_RATE = 84e9
+"""DAC and ADC rate of the DMT chain: the one 84 GS/s converter pair."""
+
+
 @dataclass(frozen=True)
 class DmtExperiment:
     """One DMT configuration: probe-based loading, then data frames."""
@@ -172,14 +170,13 @@ class DmtExperiment:
     cfg: dmt_mod.DmtConfig
     channel: ChannelModel
     frames: int = 2
-    sample_rate: float = 84e9
 
     @property
     def format_name(self) -> str:
         return "dmt"
 
     def loading(self) -> dmt_mod.LoadingTable:
-        return _dmt_loading(self.cfg, self.channel, self.sample_rate)
+        return _dmt_loading(self.cfg, self.channel)
 
     def run_block(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         loading = self.loading()
@@ -189,7 +186,7 @@ class DmtExperiment:
         rx_all = []
         for f in range(self.frames):
             bits = rng.integers(0, 2, size=n_bits)
-            wave = dmt_mod.dmt_modulate(bits, loading, self.cfg, self.sample_rate)
+            wave = dmt_mod.dmt_modulate(bits, loading, self.cfg, DMT_SAMPLE_RATE)
             received = apply_channel(wave, self.channel, seed=seed * 131 + f)
             rx_bits, _ = dmt_mod.dmt_demodulate(received, loading, self.cfg)
             tx_all.append(bits)
@@ -198,16 +195,16 @@ class DmtExperiment:
 
 
 @lru_cache(maxsize=32)
-def _dmt_snr(cfg: dmt_mod.DmtConfig, channel: ChannelModel, sample_rate: float) -> dmt_mod.SnrProfile:
-    probe = dmt_mod.make_probe_frame(cfg, sample_rate)
+def _dmt_snr(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.SnrProfile:
+    probe = dmt_mod.make_probe_frame(cfg, DMT_SAMPLE_RATE)
     received = apply_channel(probe, channel, seed=channel.seed ^ 0x534E52)
     return dmt_mod.estimate_snr(received, cfg)
 
 
 @lru_cache(maxsize=32)
-def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel, sample_rate: float) -> dmt_mod.LoadingTable:
-    snr = _dmt_snr(cfg, channel, sample_rate)
-    target = dmt_mod.rate_to_bits(cfg, sample_rate)
+def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.LoadingTable:
+    snr = _dmt_snr(cfg, channel)
+    target = dmt_mod.rate_to_bits(cfg, DMT_SAMPLE_RATE)
     loading = dmt_mod.chow_bit_loading(snr, target, cfg)
     return dmt_mod.cioffi_power_loading(loading, snr)
 
@@ -295,15 +292,14 @@ def _run_point_star(args):
 # latency budget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OpsModel:
-    """ASIC timing assumptions for the latency arithmetic."""
-
-    clock_hz: float = 1e9
-    symbols_per_clock: int = 56
-    mlse_symbols_per_clock: int = 4
-    fec_latency_us: float = 10.0
-    propagation_us_per_km: float = 5.0
+# ASIC timing assumptions of the latency arithmetic: a 1 GHz clock (1 ns
+# per clock), 56 symbols decoded per clock in parallel, of which the MLSE
+# trellis advances 4 per clock; a flat 10 us FEC and 5 us/km of fiber
+CLOCK_NS = 1.0
+SYMBOLS_PER_CLOCK = 56
+MLSE_SYMBOLS_PER_CLOCK = 4
+FEC_LATENCY_US = 10.0
+PROPAGATION_US_PER_KM = 5.0
 
 
 @dataclass(frozen=True)
@@ -349,33 +345,30 @@ class LatencyBudget:
         return "\n".join(lines)
 
 
-def _ffe_stage(name: str, n_taps: int, ops: OpsModel) -> StageLatency:
+def _ffe_stage(name: str, n_taps: int) -> StageLatency:
     # N parallel multiplications plus a ceil(log2(N-1))-deep adder tree:
     # one clock when everything fits, one op per ns in the worst case
-    clock_ns = 1e9 / ops.clock_hz
     adds = math.ceil(math.log2(n_taps - 1)) if n_taps > 1 else 0
-    return StageLatency(name, clock_ns, (1 + adds) * clock_ns)
+    return StageLatency(name, CLOCK_NS, (1 + adds) * CLOCK_NS)
 
 
-def _mlse_stage(memory: int, ops: OpsModel) -> StageLatency:
-    # one parallel block of symbols_per_clock decoded symbols plus the
+def _mlse_stage(memory: int) -> StageLatency:
+    # one parallel block of SYMBOLS_PER_CLOCK decoded symbols plus the
     # 5x-memory overhead symbols on both sides
-    clock_ns = 1e9 / ops.clock_hz
-    block = ops.symbols_per_clock + 2 * 5 * memory
-    best = math.floor(block / ops.mlse_symbols_per_clock) * clock_ns
-    worst = block * clock_ns
+    block = SYMBOLS_PER_CLOCK + 2 * 5 * memory
+    best = math.floor(block / MLSE_SYMBOLS_PER_CLOCK) * CLOCK_NS
+    worst = block * CLOCK_NS
     return StageLatency(f"mlse{memory}", best, worst)
 
 
-def _dmt_stage(fft_length: int, cp_fraction: Fraction, sample_rate: float, ops: OpsModel) -> StageLatency:
+def _dmt_stage(fft_length: int, cp_fraction: Fraction) -> StageLatency:
     # buffering one DMT symbol plus transform time: a single clock when the
     # butterflies run fully parallel, N log2 N sequential ops in the worst
     # case (model extension; the reference arithmetic covers only the FFEs
     # and the MLSE)
-    clock_ns = 1e9 / ops.clock_hz
-    buffer_ns = float(fft_length * (1 + cp_fraction)) / sample_rate * 1e9
+    buffer_ns = float(fft_length * (1 + cp_fraction)) / DMT_SAMPLE_RATE * 1e9
     ops_count = fft_length * math.log2(fft_length)
-    return StageLatency("dmt_fft", buffer_ns + clock_ns, buffer_ns + ops_count * clock_ns)
+    return StageLatency("dmt_fft", buffer_ns + CLOCK_NS, buffer_ns + ops_count * CLOCK_NS)
 
 
 def latency_budget(
@@ -386,8 +379,6 @@ def latency_budget(
     mlse_memory: int | None = None,
     fft_length: int = 512,
     cp_fraction: Fraction = Fraction(1, 64),
-    sample_rate: float = 84e9,
-    ops: OpsModel = OpsModel(),
 ) -> LatencyBudget:
     """DSP, propagation and FEC latency for one receiver configuration.
 
@@ -396,18 +387,18 @@ def latency_budget(
     """
     stages: list[StageLatency] = []
     if fmt == "dmt":
-        stages.append(_dmt_stage(fft_length, cp_fraction, sample_rate, ops))
+        stages.append(_dmt_stage(fft_length, cp_fraction))
     else:
         if tx_taps:
-            stages.append(_ffe_stage(f"tx_ffe{tx_taps}", tx_taps, ops))
+            stages.append(_ffe_stage(f"tx_ffe{tx_taps}", tx_taps))
         if rx_taps:
-            stages.append(_ffe_stage(f"rx_ffe{rx_taps}", rx_taps, ops))
+            stages.append(_ffe_stage(f"rx_ffe{rx_taps}", rx_taps))
         if mlse_memory:
-            stages.append(_mlse_stage(mlse_memory, ops))
+            stages.append(_mlse_stage(mlse_memory))
     return LatencyBudget(
         stages=tuple(stages),
-        propagation_us=distance_km * ops.propagation_us_per_km,
-        fec_us=ops.fec_latency_us,
+        propagation_us=distance_km * PROPAGATION_US_PER_KM,
+        fec_us=FEC_LATENCY_US,
     )
 
 

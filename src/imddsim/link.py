@@ -148,61 +148,54 @@ above 30 GHz."""
 # EML static curve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmlCurve:
-    """Static optical power vs drive voltage of the EML.
+# The one modeled EML at its one operating point: biased at -1.25 V and
+# driven +/-1 V about it, 1 dBm at the bias, a quasi-linear mid-region 1 V
+# wide, saturating knees of order 6 that reach +/-90 % of the bias power,
+# and a voltage domain of -3.2..0.3 V beyond which the drive is clamped.
+EML_BIAS_V = -1.25
+EML_WIDTH_V = 1.0
+EML_POWER_AT_BIAS_DBM = 1.0
+EML_MODULATION_DEPTH = 0.9
+EML_KNEE_ORDER = 6
+EML_V_MIN = -3.2
+EML_V_MAX = 0.3
+_EML_POWER_AT_BIAS_MW = 10.0 ** (EML_POWER_AT_BIAS_DBM / 10.0)
+
+
+def eml_power_mw(volts):
+    """Static optical power (mW) of the EML vs drive voltage.
 
     Monotone saturating curve anchored to the measured qualitative shape:
-    a quasi-linear mid-region around the -1.25 V operating bias with
-    smooth saturation knees toward both rails (sharpness `knee_order`).
-    `power_at_bias_dbm` pins the absolute output power at the nominal
-    bias; `modulation_depth` is the power excursion reached at full
-    saturation relative to the bias power.
+    a quasi-linear mid-region around the bias with smooth saturation knees
+    toward both rails.
     """
-
-    bias_v: float = -1.25
-    width_v: float = 1.0
-    power_at_bias_dbm: float = 1.0
-    modulation_depth: float = 0.9
-    knee_order: int = 6
-    v_min: float = -3.2
-    v_max: float = 0.3
-
-    @property
-    def power_at_bias_mw(self) -> float:
-        return 10.0 ** (self.power_at_bias_dbm / 10.0)
-
-    def power_mw(self, volts):
-        v = np.clip(np.asarray(volts, dtype=np.float64), self.v_min, self.v_max)
-        u = (v - self.bias_v) / self.width_v
-        g = u / (1.0 + np.abs(u) ** self.knee_order) ** (1.0 / self.knee_order)
-        return self.power_at_bias_mw * (1.0 + self.modulation_depth * g)
-
-    def drive_for_power(self, power_mw):
-        """Inverse of the curve; raises on powers outside the open range."""
-        p = np.asarray(power_mw, dtype=np.float64)
-        g = (p / self.power_at_bias_mw - 1.0) / self.modulation_depth
-        if np.any(np.abs(g) >= 1.0):
-            raise ValueError("requested optical power outside the curve range")
-        k = self.knee_order
-        u = g / (1.0 - np.abs(g) ** k) ** (1.0 / k)
-        return self.bias_v + self.width_v * u
+    v = np.clip(np.asarray(volts, dtype=np.float64), EML_V_MIN, EML_V_MAX)
+    u = (v - EML_BIAS_V) / EML_WIDTH_V
+    g = u / (1.0 + np.abs(u) ** EML_KNEE_ORDER) ** (1.0 / EML_KNEE_ORDER)
+    return _EML_POWER_AT_BIAS_MW * (1.0 + EML_MODULATION_DEPTH * g)
 
 
-def eml_modulate(
-    drive: SampleBuffer, curve: EmlCurve, bias: float = -1.25, swing: float = 1.0
-) -> tuple[SampleBuffer, int]:
-    """Drive the EML curve sample-wise: optical power = curve(bias + swing*x).
+def eml_drive_for_power(power_mw):
+    """Inverse of :func:`eml_power_mw`; raises on powers outside the open range."""
+    p = np.asarray(power_mw, dtype=np.float64)
+    g = (p / _EML_POWER_AT_BIAS_MW - 1.0) / EML_MODULATION_DEPTH
+    if np.any(np.abs(g) >= 1.0):
+        raise ValueError("requested optical power outside the curve range")
+    k = EML_KNEE_ORDER
+    u = g / (1.0 - np.abs(g) ** k) ** (1.0 / k)
+    return EML_BIAS_V + EML_WIDTH_V * u
+
+
+def eml_modulate(drive: SampleBuffer) -> tuple[SampleBuffer, int]:
+    """Drive the EML curve sample-wise: optical power = curve(EML_BIAS_V + x).
 
     `drive` samples are expected in [-1, 1]; excursions beyond the curve's
     voltage domain are clamped and counted.  Returns (optical power
     waveform in mW, clamped sample count).
     """
-    if not (curve.v_min <= bias <= curve.v_max):
-        raise ValueError(f"bias {bias} V outside curve domain")
-    volts = bias + swing * drive.samples
-    clamped = int(np.sum((volts < curve.v_min) | (volts > curve.v_max)))
-    power = curve.power_mw(volts)
+    volts = EML_BIAS_V + drive.samples
+    clamped = int(np.sum((volts < EML_V_MIN) | (volts > EML_V_MAX)))
+    power = eml_power_mw(volts)
     return SampleBuffer(power, drive.sample_rate), clamped
 
 
@@ -224,18 +217,21 @@ def pin_tia_saturation(signal: SampleBuffer, knee: float) -> SampleBuffer:
 # link budget and channel model
 # ---------------------------------------------------------------------------
 
+FIBER_ATTENUATION_DB_PER_KM = 0.32
+"""Loss of the modeled single-mode fiber."""
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Optical power bookkeeping between EML output and PIN input."""
 
     fiber_km: float = 0.0
-    attenuation_db_per_km: float = 0.32
     voa_db: float = 0.0
     launch_power_dbm: float = 1.0
 
     @property
     def loss_db(self) -> float:
-        return self.fiber_km * self.attenuation_db_per_km + self.voa_db
+        return self.fiber_km * FIBER_ATTENUATION_DB_PER_KM + self.voa_db
 
     @property
     def rop_dbm(self) -> float:
@@ -264,13 +260,15 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class ChannelModel:
     """Composable link: Tx responses -> EML curve -> budget -> Rx responses
-    -> saturation -> noise.  Immutable; deterministic for a fixed seed."""
+    -> saturation -> noise.  Immutable; deterministic for a fixed seed.
+
+    `eml` puts the one modeled EML (:func:`eml_modulate`) into the link;
+    without it the waveform passes the filter stages at its own scale.
+    """
 
     name: str = "custom"
     tx_stages: tuple[FilterStage, ...] = ()
-    eml: EmlCurve | None = None
-    eml_bias_v: float = -1.25
-    eml_swing_v: float = 1.0
+    eml: bool = False
     budget: LinkBudget = LinkBudget(launch_power_dbm=0.0)
     rx_stages: tuple[FilterStage, ...] = ()
     saturation_knee_mw: float | None = None
@@ -287,12 +285,12 @@ def transmit_optical(tx: SampleBuffer, model: ChannelModel) -> SampleBuffer:
     curve knees, as in the analog chain.  Without an EML the waveform
     passes through the filter stages at its own scale.
     """
-    if model.eml is None:
+    if not model.eml:
         return apply_stages(tx, model.tx_stages)
     peak = np.max(np.abs(tx.samples))
     normalized = SampleBuffer(tx.samples / peak if peak > 0 else tx.samples, tx.sample_rate)
     shaped = apply_stages(normalized, model.tx_stages)
-    optical, _ = eml_modulate(shaped, model.eml, model.eml_bias_v, model.eml_swing_v)
+    optical, _ = eml_modulate(shaped)
     return optical
 
 
@@ -305,12 +303,12 @@ def apply_channel(tx: SampleBuffer, model: ChannelModel, seed: int | None = None
     """
     optical = transmit_optical(tx, model)
     x = optical.samples
-    if model.eml is not None:
+    if model.eml:
         x = x * 10.0 ** (-model.budget.loss_db / 10.0)
     received = SampleBuffer(x, optical.sample_rate)
     received = apply_stages(received, model.rx_stages)
     x = received.samples
-    if model.eml is not None:
+    if model.eml:
         x = x - np.mean(x)  # AC-coupled TIA
     if model.saturation_knee_mw is not None:
         x = pin_tia_saturation(SampleBuffer(x, received.sample_rate), model.saturation_knee_mw).samples
@@ -337,14 +335,11 @@ PAPER_SATURATION_KNEE_MW = 0.55
 
 
 def _paper_channel(name: str, fiber_km: float, voa_db: float, seed: int) -> ChannelModel:
-    eml = EmlCurve()
     return ChannelModel(
         name=name,
         tx_stages=TX_STAGES,
-        eml=eml,
-        eml_bias_v=eml.bias_v,
-        eml_swing_v=1.0,
-        budget=LinkBudget(fiber_km=fiber_km, voa_db=voa_db, launch_power_dbm=eml.power_at_bias_dbm),
+        eml=True,
+        budget=LinkBudget(fiber_km=fiber_km, voa_db=voa_db, launch_power_dbm=EML_POWER_AT_BIAS_DBM),
         rx_stages=RX_STAGES,
         saturation_knee_mw=PAPER_SATURATION_KNEE_MW,
         noise=NoiseSpec(sigma=PAPER_NOISE_SIGMA),
@@ -385,10 +380,10 @@ def preset_summary(preset: str) -> str:
         parts.append(f"stages [{names}]")
     else:
         parts.append("all stages flat")
-    if model.eml is not None:
+    if model.eml:
         parts.append(
-            f"EML bias {model.eml_bias_v} V, fiber {model.budget.fiber_km:g} km x "
-            f"{model.budget.attenuation_db_per_km} dB/km, launch {model.budget.launch_power_dbm:g} dBm"
+            f"EML bias {EML_BIAS_V} V, fiber {model.budget.fiber_km:g} km x "
+            f"{FIBER_ATTENUATION_DB_PER_KM} dB/km, launch {model.budget.launch_power_dbm:g} dBm"
         )
     if model.noise.snr_db is not None:
         parts.append(f"AWGN at {model.noise.snr_db:g} dB SNR")

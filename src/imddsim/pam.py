@@ -14,7 +14,7 @@ import numpy as np
 
 from . import adaptive, sigproc
 from .adaptive import MlseConfig
-from .link import EmlCurve
+from .link import EML_BIAS_V, eml_drive_for_power, eml_power_mw
 from .sigproc import SampleBuffer, SymbolSequence
 
 
@@ -99,22 +99,20 @@ class LevelAdjustment:
         return np.asarray(self.target_levels)
 
 
-def level_adjustment_for_eml(
-    curve: EmlCurve, bias: float, swing: float, n_levels: int
-) -> LevelAdjustment:
+def level_adjustment_for_eml(n_levels: int) -> LevelAdjustment:
     """Derive adjusted drive levels giving equally spaced optical powers.
 
-    Inverts the EML transfer curve at the operating point: a full-swing
-    drive of the top/bottom adjusted level lands on equally spaced power
-    levels after the modulator.
+    Inverts the EML transfer curve at its operating point: a full-swing
+    (+/-1 V) drive of the top/bottom adjusted level lands on equally
+    spaced power levels after the modulator.
     """
     nominal = 2.0 * np.arange(n_levels) - (n_levels - 1)
     span = nominal[-1]
-    p_lo = float(curve.power_mw(bias - swing))
-    p_hi = float(curve.power_mw(bias + swing))
+    p_lo = float(eml_power_mw(EML_BIAS_V - 1.0))
+    p_hi = float(eml_power_mw(EML_BIAS_V + 1.0))
     targets = np.linspace(p_lo, p_hi, n_levels)
-    volts = curve.drive_for_power(targets)
-    levels = (volts - bias) / swing * span
+    volts = eml_drive_for_power(targets)
+    levels = (volts - EML_BIAS_V) * span
     return LevelAdjustment(tuple(levels))
 
 

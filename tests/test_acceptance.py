@@ -53,7 +53,6 @@ def three_sigma_slack(*error_counts):
 
 def pam_ber(channel, partial_response, tx_taps, rx_taps, mlse_memory, blocks, base_seed):
     exp = PamExperiment(
-        tx=PamTxConfig(partial_response=partial_response),
         rx=PamRxConfig(
             partial_response=partial_response, mlse_memory=mlse_memory, n_ffe_taps=rx_taps
         ),
@@ -377,7 +376,6 @@ def test_criterion_7g_extinction_ratio_gap():
     ers = {}
     for fmt, pr in (("nyquist_pam4", False), ("pr_pam4", True)):
         exp = PamExperiment(
-            tx=PamTxConfig(partial_response=pr),
             rx=PamRxConfig(partial_response=pr, mlse_memory=1 if pr else None),
             channel=chan,
         )

@@ -56,7 +56,7 @@ def zero_forcing_taps(channel: np.ndarray, n_taps: int) -> FfeTaps:
     target = np.zeros(m)
     target[(m - 1) // 2] = 1.0
     w, *_ = np.linalg.lstsq(conv, target, rcond=None)
-    return FfeTaps(w, 0.0)
+    return FfeTaps(w)
 
 
 class TestLmsFfe:
@@ -84,7 +84,7 @@ class TestLmsFfe:
 
     def test_paper_tap_counts_are_valid(self):
         for n in (11, 21, 41, 61):
-            taps = FfeTaps(np.eye(n)[n // 2], 1e-4)
+            taps = FfeTaps(np.eye(n)[n // 2])
             assert len(taps) == n
 
     def test_even_tap_count_rejected(self, payload):

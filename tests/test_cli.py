@@ -136,6 +136,36 @@ fft_length = 300
         assert main(["--config", str(swept), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, line",
+        [("experiment", "seed = -3"),
+         ("pam", "payload_order = 0"),
+         ("pam", "payload_order = 4"),
+         ("pam", "payload_order = 13"),
+         ("dmt", "frames = 0"),
+         ("dmt", "training_symbols = 0"),
+         ("dmt", "data_symbols = 0")],
+    )
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, section, line):
+        key = f"{section}.{line.split(' = ')[0]}"
+        text = f"[experiment]\nformat = {'nyquist_pam4' if section == 'pam' else 'dmt'}\n"
+        text += f"{line}\n" if section == "experiment" else f"\n[{section}]\n{line}\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {key}: must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("order", [5, 12])
+    def test_payload_order_bounds_accepted(self, tmp_path, order):
+        text = f"[experiment]\nformat = nyquist_pam4\n\n[pam]\npayload_order = {order}\n"
+        assert parse_config(write_cfg(tmp_path, text)).payload_order == order
+
+    def test_seed_override_checked_like_the_file(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, PAPER_DMT)
+        assert main(["--config", str(path), "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert "config error: experiment.seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
@@ -229,10 +259,13 @@ class TestRun:
         assert rc == 0
         out = tmp_path / "out"
         assert (out / "ber_vs_rop.csv").is_file()
-        assert (out / "loading_table.csv").is_file()
         assert (out / "latency.txt").is_file()
         summary = (out / "summary.txt").read_text()
         assert "format: dmt" in summary and "rop" in summary
+        # the loading table is the first point's (VOA 2 dB), not the base VOA's
+        first = build_experiment(point_configs(parse_config(cfg_path))[0][1])
+        first.loading().to_csv(tmp_path / "first_point.csv")
+        assert (out / "loading_table.csv").read_bytes() == (tmp_path / "first_point.csv").read_bytes()
 
     def test_pam_tapgrid_artifacts(self, tmp_path):
         text = """
@@ -260,7 +293,9 @@ values2 = 5, 11
         grid = (tmp_path / "out" / "sweep_grid.csv").read_text().splitlines()
         assert grid[0].startswith("pam_tx_taps,pam_rx_taps")
         assert len(grid) == 5
-        assert (tmp_path / "out" / "taps.csv").is_file()
+        # the first point's 5 pre-emphasis taps, not the base config's 11
+        taps = (tmp_path / "out" / "taps.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in taps[1:]] == ["-2", "-1", "0", "1", "2"]
 
     def test_byte_identical_reruns(self, tmp_path):
         text = """

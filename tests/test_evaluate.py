@@ -9,17 +9,17 @@ from imddsim.cli import _fmt, _write_csv
 from imddsim.dmt import DmtConfig
 from imddsim.evaluate import (
     DmtExperiment,
-    OpsModel,
     PamExperiment,
     SweepSpec,
+    _trained_preemphasis,
     count_ber,
     latency_budget,
     measure_extinction_and_oma,
     run_sweep,
     wilson_interval,
 )
-from imddsim.link import make_channel
-from imddsim.pam import PamRxConfig, PamTxConfig
+from imddsim.link import CHANNEL_PRESETS, make_channel
+from imddsim.pam import PamRxConfig, level_adjustment_for_eml
 from imddsim.sigproc import SampleBuffer
 
 
@@ -72,7 +72,6 @@ class TestCountBer:
 @pytest.fixture(scope="module")
 def experiment():
     return PamExperiment(
-        tx=PamTxConfig(),
         rx=PamRxConfig(n_ffe_taps=5),
         channel=make_channel("awgn_only", snr_db=17.0, seed=9),
         payload_order=6,
@@ -161,12 +160,11 @@ class TestLatency:
         assert budget.total_worst_us < 75.0
 
     def test_exact_integer_arithmetic(self):
-        ops = OpsModel()
         for taps, worst in ((11, 5.0), (21, 6.0), (41, 7.0), (61, 7.0)):
             budget = latency_budget("nyquist_pam4", 0.0, tx_taps=taps, rx_taps=None)
             assert budget.stages[0].worst_ns == worst
         for m, best, worst in ((1, 16.0, 66.0), (2, 19.0, 76.0), (3, 21.0, 86.0)):
-            budget = latency_budget("pr_pam4", 0.0, mlse_memory=m, ops=ops)
+            budget = latency_budget("pr_pam4", 0.0, mlse_memory=m)
             assert budget.stages[-1].best_ns == best
             assert budget.stages[-1].worst_ns == worst
 
@@ -200,10 +198,28 @@ class TestExtinction:
             measure_extinction_and_oma(SampleBuffer(np.ones(1024), 1.0), 2)
 
 
+class TestResolveTx:
+    @pytest.mark.parametrize("partial, clipping_db", [(False, 6.0), (True, 5.0)])
+    def test_follows_the_receiver_and_the_format(self, partial, clipping_db):
+        rx = PamRxConfig(partial_response=partial, mlse_memory=1 if partial else None)
+        tx = PamExperiment(rx=rx, channel=make_channel("paper_b2b")).resolve_tx()
+        assert (tx.symbol_rate, tx.partial_response) == (rx.symbol_rate, partial)
+        assert tx.clipping_ratio_db == clipping_db
+        assert tx.pre_emphasis_taps == _trained_preemphasis(11, tx.dac_rate, partial)
+
+    @pytest.mark.parametrize("preset", CHANNEL_PRESETS)
+    def test_level_adjustment_only_with_the_eml(self, preset):
+        exp = PamExperiment(rx=PamRxConfig(), channel=make_channel(preset),
+                            tx_preemphasis_taps=None)
+        tx = exp.resolve_tx()
+        assert tx.pre_emphasis_taps is None
+        expected = level_adjustment_for_eml(4) if preset.startswith("paper") else None
+        assert tx.level_adjust == expected
+
+
 class TestExperimentPipelines:
     def test_pam_ideal_loopback(self):
         exp = PamExperiment(
-            tx=PamTxConfig(),
             rx=PamRxConfig(n_ffe_taps=5),
             channel=make_channel("ideal"),
             payload_order=6,

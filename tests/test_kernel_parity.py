@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from imddsim.adaptive import EqualizerDivergence, MlseConfig, _lms_pass, mlse_detect
 from imddsim.evaluate import PamExperiment, count_ber
 from imddsim.link import make_channel
-from imddsim.pam import PamRxConfig, PamTxConfig
+from imddsim.pam import PamRxConfig
 
 PAM4 = np.array([-3.0, -1.0, 1.0, 3.0])
 
@@ -233,21 +233,17 @@ class TestGoldenBlockCounts:
     the transmit or receive chain shows up here."""
 
     @pytest.mark.parametrize(
-        "tx, rx, errors",
+        "rx, errors",
         [
-            (PamTxConfig(), PamRxConfig(n_ffe_taps=41), 199),
-            (PamTxConfig(), PamRxConfig(n_ffe_taps=41, mlse_memory=2), 150),
-            (
-                PamTxConfig(partial_response=True),
-                PamRxConfig(n_ffe_taps=21, mlse_memory=2, partial_response=True),
-                114,
-            ),
+            (PamRxConfig(n_ffe_taps=41), 199),
+            (PamRxConfig(n_ffe_taps=41, mlse_memory=2), 150),
+            (PamRxConfig(n_ffe_taps=21, mlse_memory=2, partial_response=True), 114),
         ],
         ids=["nyquist_hard", "nyquist_ffe_mlse2", "pr_mlse2"],
     )
-    def test_block_bit_errors(self, tx, rx, errors):
+    def test_block_bit_errors(self, rx, errors):
         channel = make_channel("paper_10km", voa_db=3.8, seed=3)
-        exp = PamExperiment(tx=tx, rx=rx, channel=channel, payload_order=7)
+        exp = PamExperiment(rx=rx, channel=channel, payload_order=7)
         tx_bits, rx_bits = exp.run_block(seed=11)
         assert tx_bits.size == 32768
         assert count_ber(tx_bits, rx_bits).bit_errors == errors

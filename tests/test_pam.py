@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from imddsim.adaptive import gardner_recover
 from imddsim.evaluate import PamExperiment
-from imddsim.link import EmlCurve, NoiseSpec, make_channel
+from imddsim.link import EML_BIAS_V, NoiseSpec, eml_power_mw, make_channel
 from imddsim.pam import (
     GRAY_PAM4,
     PAM4_LEVELS,
@@ -135,11 +135,9 @@ class TestLevelAdjustment:
 
     @pytest.mark.parametrize("n_levels", [4, 7])
     def test_equidistant_optical_levels(self, n_levels):
-        curve = EmlCurve()
-        bias, swing = -1.25, 1.0
-        adjust = level_adjustment_for_eml(curve, bias, swing, n_levels)
+        adjust = level_adjustment_for_eml(n_levels)
         drive = adjust.alphabet / np.max(np.abs(adjust.alphabet))
-        powers = curve.power_mw(bias + swing * drive)
+        powers = eml_power_mw(EML_BIAS_V + drive)
         gaps = np.diff(powers)
         assert np.max(gaps) / np.min(gaps) - 1.0 < 0.01
 
@@ -155,8 +153,7 @@ class TestTransmit:
         assert len(wave) == 65536 * 3 // 2
 
     def test_pr_has_seven_adjusted_levels_before_shaping(self, payload_bits):
-        curve = EmlCurve()
-        adjust = level_adjustment_for_eml(curve, -1.25, 1.0, 7)
+        adjust = level_adjustment_for_eml(7)
         cfg = PamTxConfig(partial_response=True, level_adjust=adjust)
         seq = adjusted_symbol_values(payload_bits, cfg)
         assert np.unique(seq.levels).size == 7
@@ -175,7 +172,7 @@ class TestTransmit:
             return 20 * np.log10(np.max(np.abs(wave.samples)) / wave.rms)
 
         plain = pam_transmit(payload_bits, PamTxConfig(clipping_ratio_db=None))
-        taps = _trained_preemphasis(11, 84e9, "nyquist")
+        taps = _trained_preemphasis(11, 84e9, False)
         boosted = pam_transmit(
             payload_bits, PamTxConfig(clipping_ratio_db=None, pre_emphasis_taps=taps)
         )
@@ -250,9 +247,8 @@ class TestClockPhaseAcrossNoiseSeeds:
         channel = make_channel(preset, voa_db=voa_db, seed=1)
         if noise_seed is None:
             channel = replace(channel, noise=NoiseSpec())
-        tx = PamTxConfig(partial_response=partial_response)
         rx = PamRxConfig(partial_response=partial_response, mlse_memory=2 if partial_response else None)
-        exp = PamExperiment(tx=tx, rx=rx, channel=channel)
+        exp = PamExperiment(rx=rx, channel=channel)
         payload = debruijn_sequence(4, exp.payload_order)
         wave = pam_transmit(pam4_demap(payload.indices), exp.resolve_tx())
         received = apply_channel(wave, channel, seed=noise_seed)
