@@ -142,6 +142,110 @@ def _lms_pass(
     return out
 
 
+def _lms_pass_batch(
+    xp: np.ndarray,
+    w: np.ndarray,
+    desired: np.ndarray | None,
+    levels: np.ndarray,
+    n_train: int,
+    mu_train: float,
+    mu_dd: float,
+    failed: list,
+    n_kept: int,
+) -> np.ndarray:
+    """:func:`_lms_pass` over B cyclic blocks in lockstep; mutates `w` in place.
+
+    `xp` holds the blocks as rows, each already extended cyclically by
+    ``n_taps // 2`` samples on both sides, and `w` their ``(B, n_taps)``
+    taps.  `failed[b]` is None while stream b adapts.  A stream that
+    diverges gets the EqualizerDivergence `_lms_pass` would raise on it
+    there, and its taps stop moving; the others run on, and the pass ends
+    at the next MSE window once none does.  Returns the outputs of the
+    first `n_kept` samples, one row per stream; a failed stream's row has
+    no meaning.
+
+    Every stream sees exactly the floats of `_lms_pass`:
+
+    - The windows are ``(B, n_taps, 1)`` views with a negative tap stride.
+      On those ``np.matmul`` calls numpy's plain dot loop for each stream,
+      which sums the products in tap order, as ``w @ win`` does.
+    - The slicer, the error, ``mu * e`` and the windowed MSE are Python
+      floats per stream, the arithmetic of `_lms_pass`.
+    - The update multiplies every window by its stream's ``mu * e`` into
+      scratch and adds that to `w`: the same two roundings.
+    """
+    n_streams, n_taps = w.shape
+    n = xp.shape[1] - n_taps + 1
+    # [k, b] is the reversed window of stream b at sample k
+    by_time = np.moveaxis(sliding_window_view(xp, n_taps, axis=1)[:, :, ::-1], 1, 0)
+    columns = by_time[..., np.newaxis]
+    w_rows = w[:, np.newaxis, :]
+    mids = ((levels[1:] + levels[:-1]) / 2.0).tolist()
+    level_list = levels.tolist()
+    level_power = float(np.mean(levels**2))
+    n_aided = n_train if desired is not None else 0
+    kept = np.empty((n_streams, n_kept))
+    y = np.empty((n_streams, 1, 1))
+    y_flat = y.reshape(n_streams)
+    scale = np.zeros((n_streams, 1))
+    scale_flat = scale.reshape(n_streams)
+    step = np.empty((n_streams, n_taps))
+    running = [b for b in range(n_streams) if failed[b] is None]
+    scales = scale_flat.tolist()
+    first_window_mse = [None] * n_streams
+    window = 2048
+    for start in range(0, n, window):
+        if not running:
+            break
+        stop = min(start + window, n)
+        known = desired[start : min(stop, n_aided)].tolist() if start < n_aided else []
+        n_known = len(known)
+        outputs = []
+        err_acc = [0.0] * n_streams
+        steps = zip(by_time[start:stop], columns[start:stop])
+        for i, (rows, cols) in enumerate(steps):
+            np.matmul(w_rows, cols, out=y)
+            ys = y_flat.tolist()
+            if start < n_kept:
+                outputs.append(ys)
+            if i < n_known:
+                d = known[i]
+                mu = mu_train
+                errors = [d - ys[b] for b in running]
+            else:
+                mu = mu_dd
+                errors = [level_list[bisect_left(mids, ys[b])] - ys[b] for b in running]
+            diverged = False
+            for b, e in zip(running, errors):
+                if not -1e60 < e < 1e60:
+                    failed[b] = EqualizerDivergence(mu, abs(e))
+                    scales[b] = 0.0
+                    diverged = True
+                    continue
+                scales[b] = mu * e
+                err_acc[b] += e * e
+            if diverged:
+                running = [b for b in running if failed[b] is None]
+            scale_flat[:] = scales
+            np.multiply(rows, scale, out=step)
+            np.add(w, step, out=w)
+        if start < n_kept:
+            kept[:, start : min(stop, n_kept)] = np.array(outputs[: n_kept - start]).T
+        if stop - start == window:
+            for b in running:
+                mse = err_acc[b] / window
+                if not math.isfinite(mse) or mse > 1e6 * level_power:
+                    failed[b] = EqualizerDivergence(mu, mse)
+                elif first_window_mse[b] is None:
+                    first_window_mse[b] = max(mse, 1e-12)
+                elif mse > 100.0 * first_window_mse[b] and mse > 10.0 * level_power:
+                    failed[b] = EqualizerDivergence(mu, mse)
+                if failed[b] is not None:
+                    scales[b] = 0.0
+            running = [b for b in running if failed[b] is None]
+    return kept
+
+
 @dataclass(eq=False)
 class EqualizedStream:
     """LMS equalization result: converged taps and the symbol-rate output."""
@@ -166,54 +270,110 @@ def apply_taps_cyclic(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(kernel), n)
 
 
+LMS_MU_TRAIN = 1e-3
+"""Data-aided LMS step size in the alphabet-power domain, before the cap."""
+
+LMS_MU_DD = 1e-4
+"""Decision-directed LMS step size, before the cap."""
+
+LMS_TRAIN_FRACTION = 0.1
+"""Share of a block the receive FFE trains data-aided in each pass."""
+
+LMS_TRAIN_PASSES = 4
+"""Adaptation sweeps of the receive FFE over its cyclic block."""
+
+
 def lms_equalize(
     rx: np.ndarray | SampleBuffer,
     reference: SymbolSequence,
     n_taps: int,
-    mu_train: float = 1e-3,
-    mu_dd: float = 1e-4,
-    train_fraction: float = 0.1,
-    train_passes: int = 4,
+    train_passes: int = LMS_TRAIN_PASSES,
 ) -> EqualizedStream:
     """Train an FFE on a cyclic symbol-rate block and equalize it.
 
-    Each adaptation sweep runs data-aided over the first `train_fraction`
-    of the block with the known reference symbols, then decision-directed
-    over the remainder; `train_passes` sweeps re-anchor the delay before
-    decisions can walk it.  The equalized output is the block re-filtered
-    with the converged taps.
+    Each adaptation sweep runs data-aided over the first
+    `LMS_TRAIN_FRACTION` of the block with the known reference symbols,
+    then decision-directed over the remainder; `train_passes` sweeps
+    re-anchor the delay before decisions can walk it.  The equalized output
+    is the block re-filtered with the converged taps.
     """
-    x = rx.samples if isinstance(rx, SampleBuffer) else np.asarray(rx, dtype=np.float64)
+    (result,) = _equalize_streams([rx], reference, n_taps, train_passes)
+    if isinstance(result, EqualizerDivergence):
+        raise result
+    return result
+
+
+def lms_equalize_batch(
+    streams: list[np.ndarray | SampleBuffer],
+    reference: SymbolSequence,
+    n_taps: int,
+) -> list[EqualizedStream | EqualizerDivergence]:
+    """:func:`lms_equalize` of each block in `streams` against one reference.
+
+    Each stream gets what lms_equalize returns for it, or the
+    EqualizerDivergence it raises there.  The streams adapt in lockstep in
+    `_lms_pass_batch`.
+    """
+    return _equalize_streams(streams, reference, n_taps, LMS_TRAIN_PASSES)
+
+
+def _equalize_streams(
+    streams: list[np.ndarray | SampleBuffer],
+    reference: SymbolSequence,
+    n_taps: int,
+    train_passes: int,
+) -> list[EqualizedStream | EqualizerDivergence]:
+    """The body of :func:`lms_equalize_batch`, with `train_passes` sweeps."""
     if n_taps < 1 or n_taps % 2 == 0:
         raise ValueError("FFE length must be odd and >= 1")
     levels = reference.alphabet
     desired = reference.levels
-    if x.size != desired.size:
+    xs = [s.samples if isinstance(s, SampleBuffer) else np.asarray(s, dtype=np.float64)
+          for s in streams]
+    n = desired.size
+    if any(x.size != n for x in xs):
         raise ValueError("rx block and reference must have equal symbol counts")
-    # adapt in the alphabet-power domain (the step-size defaults assume it),
+    # adapt in the alphabet-power domain (the step sizes assume it),
     # capping the step well below the white-input stability bound 2/(N*P):
     # the equalizer input is strongly colored, which tightens the true bound
     power = float(np.mean(levels**2))
-    gain = np.sqrt(power / max(np.mean(x**2), 1e-30))
-    x = x * gain
+    gains = [np.sqrt(power / max(np.mean(x**2), 1e-30)) for x in xs]
     mu_cap = 0.05 * 2.0 / (n_taps * power)
-    mu_train = min(mu_train, mu_cap)
-    mu_dd = min(mu_dd, mu_cap)
-    w = np.zeros(n_taps)
-    w[n_taps // 2] = 1.0
-    n_train = max(int(train_fraction * x.size), min(x.size, 4 * n_taps))
-    mse_train = np.inf
+    mu_train = min(LMS_MU_TRAIN, mu_cap)
+    mu_dd = min(LMS_MU_DD, mu_cap)
+    half = n_taps // 2
+    # each row: the scaled block, extended cyclically by half a filter
+    xp = np.empty((len(xs), n + 2 * half))
+    for row, x, gain in zip(xp, xs, gains):
+        np.multiply(x, gain, out=row[half : half + n])
+        row[:half] = row[n : n + half]
+        row[half + n :] = row[half : 2 * half]
+    w = np.zeros((len(gains), n_taps))
+    w[:, half] = 1.0
+    n_train = max(int(LMS_TRAIN_FRACTION * n), min(n, 4 * n_taps))
+    failed: list[EqualizerDivergence | None] = [None] * len(gains)
+    mse_train = [np.inf] * len(gains)
     # each sweep re-anchors data-aided on the known prefix, then tracks
     # decision-directed across the remainder of the cyclic block
     for _ in range(max(train_passes, 1)):
-        out = _lms_pass(x, w, desired, levels, n_train, mu_train, mu_dd)
-        mse_train = min(mse_train, float(np.mean((out[:n_train] - desired[:n_train]) ** 2)))
-    # the block is then re-filtered with the converged taps
-    output = apply_taps_cyclic(x, w)
+        heads = _lms_pass_batch(xp, w, desired, levels, n_train, mu_train, mu_dd,
+                                failed, n_train)
+        for b, head in enumerate(heads):
+            if failed[b] is None:
+                mse = float(np.mean((head - desired[:n_train]) ** 2))
+                mse_train[b] = min(mse_train[b], mse)
+    # each block is then re-filtered with its converged taps
     mids = (levels[1:] + levels[:-1]) / 2.0
-    decided = levels[np.searchsorted(mids, output)]
-    mse_final = float(np.mean((output - decided) ** 2))
-    return EqualizedStream(FfeTaps(w * gain), output, mse_train, mse_final)
+    results: list[EqualizedStream | EqualizerDivergence] = []
+    for b, gain in enumerate(gains):
+        if failed[b] is not None:
+            results.append(failed[b])
+            continue
+        output = apply_taps_cyclic(xp[b, half : half + n], w[b])
+        decided = levels[np.searchsorted(mids, output)]
+        mse_final = float(np.mean((output - decided) ** 2))
+        results.append(EqualizedStream(FfeTaps(w[b] * gain), output, mse_train[b], mse_final))
+    return results
 
 
 # ---------------------------------------------------------------------------

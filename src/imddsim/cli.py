@@ -123,9 +123,14 @@ _KEYS = {
 _SECTIONS = {key.partition(".")[0] for key in _KEYS}
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read and validate a .cfg file; raises ConfigError listing every
-    problem found, not just the first."""
+    problem found, not just the first.
+
+    `overrides` maps ExperimentConfig fields to values that replace the
+    file's (the command line's `--seed` and `--preset`); they are checked
+    with the file's values, as if the file had set them.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError([f"config file not found: {path}"])
@@ -154,6 +159,7 @@ def parse_config(path) -> ExperimentConfig:
                 fields[field] = parse(parser.get(section, key).strip())
             except (ValueError, ZeroDivisionError) as exc:
                 errors.append(f"{name}: {exc}")
+    fields.update(overrides or {})
     if fields.get("format") not in FORMATS:
         errors.append(
             f"experiment.format: must be one of {', '.join(FORMATS)}, got {fields.get('format')!r}"
@@ -198,8 +204,7 @@ def parse_config(path) -> ExperimentConfig:
 def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
     """`cfg` with its MLSE memory settled; appends every problem to `errors`.
 
-    The one check for a parsed config, for each of its sweep points and
-    for the command-line overrides.
+    The one check for a parsed config and for each of its sweep points.
     PR PAM4 without a memory gets memory 1; memory 0 means no MLSE.
     """
     if cfg.preset not in CHANNEL_PRESETS:
@@ -321,7 +326,8 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
                    [[_fmt(values[0]), f"{_rop_dbm(point):.6g}"] for values, point in points],
                    result.points)
 
-    # the loading table and the pre-emphasis taps are those of the first point
+    # the loading table, the pre-emphasis taps and the latency budget are
+    # those of the first point
     experiment = experiments[0]
     if cfg.format == "dmt":
         try:
@@ -335,7 +341,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
         if taps is not None:
             FfeTaps(np.asarray(taps)).to_csv(out / "taps.csv")
 
-    budget = _latency_for(cfg)
+    budget = _latency_for(points[0][1])
     (out / "latency.txt").write_text(budget.summary() + "\n")
     _write_summary(cfg, names, points, result, budget, out / "summary.txt")
 
@@ -421,15 +427,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("error: --config is required unless --list-presets", file=sys.stderr)
         return 1
+    overrides = {name: value for name, value in (("seed", args.seed), ("preset", args.preset))
+                 if value is not None}
     try:
-        cfg = parse_config(args.config)
-        overrides = {name: value for name, value in (("seed", args.seed), ("preset", args.preset))
-                     if value is not None}
-        if overrides:
-            errors: list[str] = []
-            cfg = _settled(replace(cfg, **overrides), errors)
-            if errors:
-                raise ConfigError(errors)
+        cfg = parse_config(args.config, overrides)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

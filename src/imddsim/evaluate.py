@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import adaptive
 from . import dmt as dmt_mod
 from . import link as link_mod
 from . import pam as pam_mod
@@ -151,12 +152,15 @@ class PamExperiment:
         return tx
 
     def run_block(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        payload = _payload(self.payload_order)
-        bits = pam_mod.pam4_demap(payload.indices)
-        wave = pam_mod.pam_transmit(bits, self.resolve_tx())
-        received = apply_channel(wave, self.channel, seed=seed)
-        rx_bits = pam_mod.pam_receive(received, self.rx, payload)
+        bits, received = self._received(seed)
+        rx_bits = pam_mod.pam_receive(received, self.rx, _payload(self.payload_order))
         return bits, rx_bits
+
+    def _received(self, seed: int) -> tuple[np.ndarray, SampleBuffer]:
+        """The payload bits and block `seed` of their received waveform."""
+        bits = pam_mod.pam4_demap(_payload(self.payload_order).indices)
+        wave = pam_mod.pam_transmit(bits, self.resolve_tx())
+        return bits, apply_channel(wave, self.channel, seed=seed)
 
 
 DMT_SAMPLE_RATE = 84e9
@@ -247,21 +251,100 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
 
 
+BATCH_STREAMS = 8
+"""Most PAM blocks that equalize in one batched LMS.  A larger group runs
+as several batches, so a sweep's peak memory does not grow with its size."""
+
+
+def run_blocks(pairs) -> list[BerReport | Exception]:
+    """Run and count block `seed` of `experiment` for each `(experiment,
+    seed)` pair: its BerReport, or the exception the block raised.
+
+    Each pair gets what ``count_ber(*experiment.run_block(seed))`` returns
+    or raises.  The PAM blocks with the same FFE length, payload and format
+    run as one group, `BATCH_STREAMS` at a time: every block's receive
+    front end, one :func:`adaptive.lms_equalize_batch`, every block's back
+    end.  Other experiments run their blocks one by one.
+    """
+    outcomes: list = [None] * len(pairs)
+    # (FFE length, payload order, partial response) -> indices of its pairs
+    groups: dict[tuple, list[int]] = {}
+    for i, (experiment, seed) in enumerate(pairs):
+        if isinstance(experiment, PamExperiment):
+            rx = experiment.rx
+            key = (rx.n_ffe_taps, experiment.payload_order, rx.partial_response)
+            groups.setdefault(key, []).append(i)
+            continue
+        try:
+            outcomes[i] = count_ber(*experiment.run_block(seed))
+        except Exception as exc:  # a failed block is recorded, the others run on
+            outcomes[i] = exc
+    for members in groups.values():
+        for start in range(0, len(members), BATCH_STREAMS):
+            _run_pam_batch(pairs, members[start : start + BATCH_STREAMS], outcomes)
+    return outcomes
+
+
+def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
+    """Run the PAM blocks `pairs[i]` for i in `members`, which share one
+    FFE length, payload and format, into `outcomes[i]`."""
+    first = pairs[members[0]][0]
+    payload = _payload(first.payload_order)
+    reference = pam_mod.ffe_reference(payload, first.rx)
+    fronts = []
+    running = []
+    for i in members:
+        experiment, seed = pairs[i]
+        try:
+            _, received = experiment._received(seed)
+            fronts.append(pam_mod.pam_front_end(received, experiment.rx, reference))
+            running.append(i)
+        except Exception as exc:  # a failed block is recorded, the others run on
+            outcomes[i] = exc
+    try:
+        equalized = adaptive.lms_equalize_batch(fronts, reference, first.rx.n_ffe_taps)
+    except Exception as exc:  # an even FFE length: lms_equalize raises it per block
+        equalized = [exc] * len(running)
+    # free the front-end outputs now, and each equalized stream after its
+    # back end
+    del fronts
+    bits = pam_mod.pam4_demap(payload.indices)
+    for k, i in enumerate(running):
+        eq, equalized[k] = equalized[k], None
+        if isinstance(eq, Exception):
+            outcomes[i] = eq
+            continue
+        try:
+            rx_bits = pam_mod.pam_back_end(eq.output, pairs[i][0].rx, payload)
+            outcomes[i] = count_ber(bits, rx_bits)
+        except Exception as exc:
+            outcomes[i] = exc
+
+
+def _run_points(experiments, spec: SweepSpec, indices) -> list[SweepPoint]:
+    """Points `indices` of `spec`, `experiments[k]` for point `indices[k]`,
+    all their blocks in one :func:`run_blocks`.  A point sums its blocks,
+    or reports the first that failed."""
+    pairs = [(e, (spec.base_seed ^ (i * 0x9E3779B1)) + 7919 * b)
+             for e, i in zip(experiments, indices) for b in range(spec.blocks)]
+    outcomes = run_blocks(pairs)
+    points = []
+    for k, i in enumerate(indices):
+        blocks = outcomes[k * spec.blocks : (k + 1) * spec.blocks]
+        failed = [o for o in blocks if isinstance(o, Exception)]
+        if failed:
+            error = f"{type(failed[0]).__name__}: {failed[0]}"
+            points.append(SweepPoint(spec.values[i], None, error))
+            continue
+        errors = sum(report.bit_errors for report in blocks)
+        total = sum(report.bits_total for report in blocks)
+        points.append(SweepPoint(spec.values[i], BerReport.from_counts(errors, total)))
+    return points
+
+
 def run_point(experiment, spec: SweepSpec, index: int) -> SweepPoint:
     """Run point `index` of `spec` on `experiment`, its blocks summed."""
-    values = spec.values[index]
-    try:
-        errors = 0
-        total = 0
-        for b in range(spec.blocks):
-            seed = (spec.base_seed ^ (index * 0x9E3779B1)) + 7919 * b
-            tx_bits, rx_bits = experiment.run_block(seed)
-            report = count_ber(tx_bits, rx_bits)
-            errors += report.bit_errors
-            total += report.bits_total
-        return SweepPoint(values, BerReport.from_counts(errors, total))
-    except Exception as exc:  # per-point failures recorded, sweep continues
-        return SweepPoint(values, None, f"{type(exc).__name__}: {exc}")
+    return _run_points([experiment], spec, [index])[0]
 
 
 def run_sweep(experiments, spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -269,7 +352,10 @@ def run_sweep(experiments, spec: SweepSpec, jobs: int = 1) -> SweepResult:
     `experiments[i]` for point i of `spec`.
 
     Deterministic under the per-point seed policy regardless of `jobs`; point
-    failures are recorded and the sweep continues.
+    failures are recorded and the sweep continues.  With one job, the
+    blocks of every PAM point go through one :func:`run_blocks`, so
+    blocks of different points share a batched equalizer; with more, each
+    worker runs whole points.
     """
     if len(experiments) != len(spec.values):
         raise ValueError(f"{len(experiments)} experiments for {len(spec.values)} sweep points")
@@ -279,7 +365,11 @@ def run_sweep(experiments, spec: SweepSpec, jobs: int = 1) -> SweepResult:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_run_point_star,
                                    ((e, spec, i) for i, e in enumerate(experiments))))
+    elif all(isinstance(e, PamExperiment) for e in experiments):
+        points = _run_points(experiments, spec, range(len(experiments)))
     else:
+        # DMT blocks have no equalizer to share; point by point keeps the
+        # run_point spans that perfbench's trace reads
         points = [run_point(e, spec, i) for i, e in enumerate(experiments)]
     return SweepResult(spec, tuple(points))
 

@@ -237,33 +237,46 @@ def pam_receive(signal: SampleBuffer, cfg: PamRxConfig, payload: SymbolSequence)
     encoding).  Equalizer divergence and alignment failures raise rather
     than returning garbage bits.
     """
+    reference = ffe_reference(payload, cfg)
+    at_symbols = pam_front_end(signal, cfg, reference)
+    eq = adaptive.lms_equalize(at_symbols, reference, cfg.n_ffe_taps)
+    return pam_back_end(eq.output, cfg, payload)
+
+
+def ffe_reference(payload: SymbolSequence, cfg: PamRxConfig) -> SymbolSequence:
+    """The known symbols the FFE trains on: the payload, delay-and-add
+    encoded for partial response."""
+    return pr_encode(payload) if cfg.partial_response else payload
+
+
+def pam_front_end(signal: SampleBuffer, cfg: PamRxConfig, reference: SymbolSequence) -> np.ndarray:
+    """The receive chain up to the FFE: resample to 2 samples/symbol,
+    correct the Gardner phase, decimate to the symbol rate and align to
+    `reference` (see :func:`ffe_reference`)."""
     two_sps = _to_two_sps(signal, cfg.symbol_rate)
     polarity = -1 if cfg.partial_response else 1
     phase = adaptive.gardner_recover(two_sps, polarity=polarity)
     corrected = sigproc.fractional_delay(two_sps, phase.offset_ui * 2.0)
     at_symbols = corrected.samples[0::2]
-
-    reference = payload
-    if cfg.partial_response:
-        reference = pr_encode(payload)
     lag = _alignment_lag(at_symbols, reference.levels)
-    at_symbols = np.roll(at_symbols, -lag)
+    return np.roll(at_symbols, -lag)
 
-    eq = adaptive.lms_equalize(at_symbols, reference, cfg.n_ffe_taps)
 
+def pam_back_end(equalized: np.ndarray, cfg: PamRxConfig, payload: SymbolSequence) -> np.ndarray:
+    """The receive chain after the FFE: hard decision or MLSE, then demap."""
     if cfg.partial_response:
         trellis = MlseConfig.partial_response(PAM4_LEVELS, cfg.mlse_memory)
-        indices = adaptive.mlse_detect(eq.output, trellis).indices
+        indices = adaptive.mlse_detect(equalized, trellis).indices
     elif cfg.mlse_memory is not None:
-        h = _fit_residual_channel(eq.output, payload.levels, cfg.mlse_memory)
+        h = _fit_residual_channel(equalized, payload.levels, cfg.mlse_memory)
         trellis = MlseConfig.for_fir_channel(
             h, PAM4_LEVELS, cfg.mlse_memory, start_symbol=None
         )
-        indices = adaptive.mlse_detect(eq.output, trellis).indices
+        indices = adaptive.mlse_detect(equalized, trellis).indices
     else:
         alphabet = np.asarray(PAM4_LEVELS)
         mids = (alphabet[1:] + alphabet[:-1]) / 2.0
-        indices = np.searchsorted(mids, eq.output)
+        indices = np.searchsorted(mids, equalized)
     return pam4_demap(indices)
 
 

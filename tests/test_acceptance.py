@@ -31,6 +31,7 @@ from imddsim.evaluate import (
     PamExperiment,
     latency_budget,
     measure_extinction_and_oma,
+    run_blocks,
     _payload,
 )
 from imddsim.link import ChannelModel, NoiseSpec, apply_channel, make_channel, transmit_optical
@@ -60,10 +61,12 @@ def pam_ber(channel, partial_response, tx_taps, rx_taps, mlse_memory, blocks, ba
         tx_preemphasis_taps=tx_taps,
     )
     errors = total = 0
-    for b in range(blocks):
-        tx_bits, rx_bits = exp.run_block(seed=base_seed + 7919 * b)
-        errors += int(np.sum(tx_bits != rx_bits))
-        total += tx_bits.size
+    # the blocks equalize in one batched LMS, as a sweep's blocks do
+    for outcome in run_blocks([(exp, base_seed + 7919 * b) for b in range(blocks)]):
+        if isinstance(outcome, Exception):
+            raise outcome
+        errors += outcome.bit_errors
+        total += outcome.bits_total
     return errors / total, errors, total
 
 

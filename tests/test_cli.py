@@ -15,6 +15,7 @@ from imddsim.cli import (
     parse_config,
     point_configs,
 )
+from imddsim.evaluate import latency_budget
 from imddsim.link import CHANNEL_PRESETS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -365,6 +366,24 @@ mlse_memory = none
     def test_preset_override(self, tmp_path):
         cfg_path = write_cfg(tmp_path, PAPER_DMT)
         assert main(["--config", str(cfg_path), "--preset", "paper_99km"]) == 1
+
+    def test_preset_override_meets_the_snr_check(self, tmp_path, capsys):
+        text = PAPER_DMT.replace("preset = paper_b2b", "preset = awgn_only\nsnr_db = 18")
+        cfg_path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text.replace("awgn_only", "paper_b2b"), "b2b.cfg"))
+        assert main(["--config", str(cfg_path), "--preset", "paper_b2b"]) == 1
+        assert capsys.readouterr().err == f"config error: {err.value.errors[0]}\n"
+
+    def test_latency_describes_the_first_point(self, tmp_path):
+        text = PAPER_DMT.replace("fft_length = 512\n", "").replace(
+            "clipping_ratio_db = 15", "clipping_ratio_db = 10\nframes = 1"
+        ) + "\n[sweep]\nparameter = dmt.fft_length\nvalues = 256, 1024\n"
+        out = tmp_path / "out"
+        assert main(["--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+        budget = latency_budget("dmt", 0.0, fft_length=256).summary()
+        assert (out / "latency.txt").read_text() == budget + "\n"
+        assert (out / "summary.txt").read_text().endswith("\n" + budget + "\n")
 
     def test_pipeline_failure_exit_code(self, tmp_path, capsys):
         # infeasible loading at extreme attenuation is a pipeline failure

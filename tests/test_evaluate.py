@@ -8,8 +8,10 @@ import pytest
 from imddsim.cli import _fmt, _write_csv
 from imddsim.dmt import DmtConfig
 from imddsim.evaluate import (
+    BerReport,
     DmtExperiment,
     PamExperiment,
+    SweepPoint,
     SweepSpec,
     _trained_preemphasis,
     count_ber,
@@ -138,6 +140,42 @@ class TestSweeps:
     def test_one_experiment_per_point(self, experiment):
         with pytest.raises(ValueError, match="1 experiments for 2 sweep points"):
             run_sweep([experiment], SweepSpec(values=(15.0, 17.0)))
+
+
+class TestBatchedSweepParity:
+    """The batched sweep path (one equalizer over every point's blocks),
+    the per-point workers and a plain run_block loop agree point for point,
+    failed points included."""
+
+    @staticmethod
+    def block_loop(experiments, spec):
+        points = []
+        for index, (experiment, values) in enumerate(zip(experiments, spec.values)):
+            errors = total = 0
+            try:
+                for b in range(spec.blocks):
+                    seed = (spec.base_seed ^ (index * 0x9E3779B1)) + 7919 * b
+                    report = count_ber(*experiment.run_block(seed))
+                    errors += report.bit_errors
+                    total += report.bits_total
+                points.append(SweepPoint(values, BerReport.from_counts(errors, total)))
+            except Exception as exc:
+                points.append(SweepPoint(values, None, f"{type(exc).__name__}: {exc}"))
+        return points
+
+    def test_jobs_and_block_loop_agree(self):
+        spec = SweepSpec(values=(2.8, 3.8, 4.8), blocks=2, base_seed=16)
+        experiments = [
+            PamExperiment(rx=PamRxConfig(n_ffe_taps=taps),
+                          channel=make_channel("paper_10km", voa_db=voa, seed=16),
+                          payload_order=7)
+            for voa, taps in zip(spec.values, (41, 40, 41))  # even taps fail
+        ]
+        expected = self.block_loop(experiments, spec)
+        assert expected[1].error == "ValueError: FFE length must be odd and >= 1"
+        assert expected[0].report.bits_total == 2 * 2 * 4**7
+        assert list(run_sweep(experiments, spec, jobs=1).points) == expected
+        assert list(run_sweep(experiments, spec, jobs=2).points) == expected
 
 
 class TestLatency:

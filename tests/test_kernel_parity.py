@@ -7,13 +7,23 @@ so every comparison here is exact (``np.array_equal``), never a tolerance.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imddsim.adaptive import EqualizerDivergence, MlseConfig, _lms_pass, mlse_detect
+from imddsim.adaptive import (
+    EqualizerDivergence,
+    MlseConfig,
+    _lms_pass,
+    _lms_pass_batch,
+    apply_taps_cyclic,
+    lms_equalize,
+    lms_equalize_batch,
+    mlse_detect,
+)
 from imddsim.evaluate import PamExperiment, count_ber
 from imddsim.link import make_channel
 from imddsim.pam import PamRxConfig
+from imddsim.sigproc import SymbolSequence
 
 PAM4 = np.array([-3.0, -1.0, 1.0, 3.0])
 
@@ -59,6 +69,28 @@ def oracle_lms_pass(x, w, desired, levels, n_train, mu_train, mu_dd):
             elif mse > 100.0 * first_window_mse and mse > 10.0 * level_power:
                 raise EqualizerDivergence(mu, mse)
     return out
+
+
+def oracle_lms_equalize(x, reference, n_taps):
+    """One block through the serial kernel: scale, four passes of
+    `_lms_pass` from a center spike, re-filter with the converged taps."""
+    levels = reference.alphabet
+    desired = reference.levels
+    power = float(np.mean(levels**2))
+    gain = np.sqrt(power / max(np.mean(x**2), 1e-30))
+    x = x * gain
+    mu_cap = 0.05 * 2.0 / (n_taps * power)
+    w = np.zeros(n_taps)
+    w[n_taps // 2] = 1.0
+    n_train = max(int(0.1 * x.size), min(x.size, 4 * n_taps))
+    mse_train = np.inf
+    for _ in range(4):
+        out = _lms_pass(x, w, desired, levels, n_train, min(1e-3, mu_cap), min(1e-4, mu_cap))
+        mse_train = min(mse_train, float(np.mean((out[:n_train] - desired[:n_train]) ** 2)))
+    output = apply_taps_cyclic(x, w)
+    mids = (levels[1:] + levels[:-1]) / 2.0
+    mse_final = float(np.mean((output - levels[np.searchsorted(mids, output)]) ** 2))
+    return w * gain, output, mse_train, mse_final
 
 
 def oracle_mlse_detect(y, cfg):
@@ -167,6 +199,111 @@ class TestLmsPassParity:
         assert mu_new == mu_ref == mu
         assert msg_new == msg_ref
         assert np.array_equal(w_new, w_ref, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# batched LMS: the serial kernel is the oracle, stream by stream
+# ---------------------------------------------------------------------------
+
+def colored_streams(n, n_streams, seed):
+    """One PAM4 block through one cyclic channel, received `n_streams`
+    times with independent noise and scaled as lms_equalize scales."""
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(0, 4, n)
+    symbols = PAM4[indices]
+    h = np.array([0.15, 1.0, 0.35, -0.1])
+    clean = sum(t * np.roll(symbols, k) for k, t in enumerate(h))
+    power = float(np.mean(PAM4**2))
+    streams = []
+    for _ in range(n_streams):
+        x = clean + rng.normal(0, 0.3, n)
+        streams.append(x * np.sqrt(power / np.mean(x**2)))
+    return streams, SymbolSequence(indices, PAM4)
+
+
+def padded(streams, n_taps):
+    half = n_taps // 2
+    return np.stack([np.concatenate((x[-half:], x, x[:half])) if half else x for x in streams])
+
+
+def center_spikes(n_streams, n_taps):
+    w = np.zeros((n_streams, n_taps))
+    w[:, n_taps // 2] = 1.0
+    return w
+
+
+@st.composite
+def batch_cases(draw):
+    n_streams = draw(st.integers(1, 6))
+    n_taps = draw(st.sampled_from(range(1, 42, 2)))
+    aided = draw(st.booleans())
+    # block lengths around the 2048-sample MSE window
+    n = draw(st.sampled_from([2047, 2048, 4096, 5000]))
+    seed = draw(st.integers(0, 2**16))
+    return n_streams, n_taps, aided, n, seed
+
+
+class TestLmsBatchParity:
+    @settings(max_examples=12, deadline=None)
+    @given(batch_cases())
+    @example((2, 1, True, 2048, 0))
+    @example((6, 41, False, 5000, 1))
+    @example((1, 21, True, 2048, 5))
+    def test_pass_matches_serial_per_stream(self, case):
+        n_streams, n_taps, aided, n, seed = case
+        streams, reference = colored_streams(n, n_streams, seed)
+        desired = reference.levels if aided else None
+        mu = 0.05 * 2.0 / (n_taps * float(np.mean(PAM4**2)))
+        args = (PAM4, n // 10, min(1e-3, mu), min(1e-4, mu))
+        w = center_spikes(n_streams, n_taps)
+        failed = [None] * n_streams
+        xp = padded(streams, n_taps)
+        outs = [_lms_pass_batch(xp, w, desired, *args, failed, n) for _ in range(2)]
+        assert failed == [None] * n_streams
+        for b, x in enumerate(streams):
+            w_ref = center_spikes(1, n_taps)[0]
+            for out in outs:
+                assert np.array_equal(out[b], _lms_pass(x, w_ref, desired, *args))
+            assert np.array_equal(w[b], w_ref)
+
+    @settings(max_examples=8, deadline=None)
+    @given(batch_cases())
+    @example((3, 1, True, 4096, 2))
+    @example((6, 41, True, 4096, 3))
+    @example((1, 41, True, 4096, 4))
+    def test_equalize_matches_serial_per_stream(self, case):
+        n_streams, n_taps, _, n, seed = case
+        streams, reference = colored_streams(n, n_streams, seed)
+        batch = lms_equalize_batch(streams, reference, n_taps)
+        for x, eq in zip(streams, batch):
+            taps, output, mse_train, mse_final = oracle_lms_equalize(x, reference, n_taps)
+            assert np.array_equal(eq.taps.coefficients, taps)
+            assert np.array_equal(eq.output, output)
+            assert (eq.mse_train, eq.mse_final) == (mse_train, mse_final)
+            single = lms_equalize(x, reference, n_taps)
+            assert np.array_equal(single.output, output)
+
+    @pytest.mark.parametrize("n_streams", [1, 4])
+    @pytest.mark.parametrize("gain", [3.1, 30.0], ids=["windowed_mse", "error_bound"])
+    def test_diverging_stream_leaves_the_others_unchanged(self, gain, n_streams):
+        streams, reference = colored_streams(3 * 2048, n_streams, seed=8)
+        bad = n_streams // 2
+        streams[bad] = streams[bad] * gain
+        args = (reference.levels, PAM4, 614, 0.002, 0.002)
+        w = center_spikes(n_streams, 21)
+        failed = [None] * n_streams
+        out = _lms_pass_batch(padded(streams, 21), w, *args, failed, streams[0].size)
+        for b, x in enumerate(streams):
+            w_ref = center_spikes(1, 21)[0]
+            if b == bad:
+                with pytest.raises(EqualizerDivergence) as err:
+                    _lms_pass(x, w_ref, *args)
+                assert str(failed[b]) == str(err.value)
+                assert failed[b].mu == err.value.mu == 0.002
+            else:
+                assert failed[b] is None
+                assert np.array_equal(out[b], _lms_pass(x, w_ref, *args))
+            assert np.array_equal(w[b], w_ref)
 
 
 # ---------------------------------------------------------------------------
