@@ -506,18 +506,21 @@ def mlse_detect(samples: np.ndarray | SampleBuffer, cfg: MlseConfig) -> SymbolSe
 # pre-emphasis (indirect learning)
 # ---------------------------------------------------------------------------
 
-def train_preemphasis_waveform(
-    probe: SampleBuffer,
-    observed: SampleBuffer,
-    n_taps: int = 61,
-    mu: float = 5e-4,
-    passes: int = 3,
-) -> FfeTaps:
-    """Indirect-learning postdistorter for an arbitrary known probe waveform.
+PREEMPHASIS_MU = 5e-4
+"""LMS step size of the pre-emphasis trainer."""
 
-    Purely data-aided LMS: learns W with W(observed) ~ probe.  Used to
-    derive format-specific pre-emphasis from a shaped probe, whose band
-    limits keep the learned boost inside the band the format occupies.
+PREEMPHASIS_PASSES = 3
+"""Adaptation sweeps of the pre-emphasis trainer over its cyclic probe."""
+
+
+def train_preemphasis_waveform(probe: SampleBuffer, observed: SampleBuffer, n_taps: int) -> FfeTaps:
+    """Indirect-learning pre-emphasis trainer for a known probe waveform.
+
+    Purely data-aided LMS learns a postdistorter W with W(observed) ~
+    probe; installed before the transmitter, W pre-compensates its linear
+    response, so |W x H_tx| is flat across the band the probe excites.  A
+    shaped probe keeps the learned boost inside the band the format
+    occupies.
     """
     if len(probe) != len(observed):
         raise ValueError("probe and observed waveforms must align sample-for-sample")
@@ -530,40 +533,8 @@ def train_preemphasis_waveform(
     dummy_levels = np.array([np.min(desired), np.max(desired) + 1e-9])
     w = np.zeros(n_taps)
     w[n_taps // 2] = 1.0
-    for _ in range(passes):
-        _lms_pass(x, w, desired, dummy_levels, x.size, mu, mu)
-    return FfeTaps(w * gain)
-
-
-def train_preemphasis(
-    tx_probe: SymbolSequence,
-    observed: SampleBuffer,
-    n_taps: int = 61,
-    mu: float = 5e-4,
-    passes: int = 3,
-) -> FfeTaps:
-    """Indirect-learning pre-emphasis trainer.
-
-    LMS learns a postdistorter W that maps the observed transmitter output
-    back to the known probe sequence; installed before the transmitter, W
-    pre-compensates its linear response, so |W x H_tx| is flat across the
-    band the probe excites.  The probe runs at the DAC rate (one symbol
-    per DAC sample).
-    """
-    if len(tx_probe) < 10 * n_taps:
-        raise ValueError(
-            f"probe too short: need >= {10 * n_taps} symbols for {n_taps} taps"
-        )
-    if len(tx_probe) != len(observed):
-        raise ValueError("observed waveform must be at symbol rate, aligned to the probe")
-    desired_seq = tx_probe
-    x = observed.samples
-    gain = np.sqrt(np.mean(desired_seq.alphabet**2) / max(np.mean(x**2), 1e-30))
-    x = x * gain
-    w = np.zeros(n_taps)
-    w[n_taps // 2] = 1.0
-    for _ in range(passes):
-        _lms_pass(x, w, desired_seq.levels, desired_seq.alphabet, x.size, mu, mu)
+    for _ in range(PREEMPHASIS_PASSES):
+        _lms_pass(x, w, desired, dummy_levels, x.size, PREEMPHASIS_MU, PREEMPHASIS_MU)
     return FfeTaps(w * gain)
 
 

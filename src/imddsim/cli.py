@@ -295,7 +295,7 @@ def build_experiment(cfg: ExperimentConfig):
 
 
 def _latency_for(cfg: ExperimentConfig):
-    distance = make_channel(cfg.preset).budget.fiber_km
+    distance = make_channel(cfg.preset).fiber_km
     if cfg.format == "dmt":
         return latency_budget("dmt", distance, fft_length=cfg.fft_length,
                               cp_fraction=cfg.cp_fraction)
@@ -354,7 +354,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
 
 
 def _rop_dbm(cfg: ExperimentConfig) -> float:
-    return make_channel(cfg.preset, voa_db=cfg.voa_db).budget.rop_dbm
+    return make_channel(cfg.preset, voa_db=cfg.voa_db).rop_dbm
 
 
 def _write_csv(path, names, leads, points) -> None:

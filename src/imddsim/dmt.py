@@ -22,6 +22,9 @@ SNR_CEILING_DB = 60.0
 EQ_STEP = 1e-3
 """Step size of the decision-directed 1-tap equalizer."""
 
+DMT_SAMPLE_RATE = 84e9
+"""DAC and ADC rate of the DMT chain: the one 84 GS/s converter pair."""
+
 
 class SyncError(RuntimeError):
     """Frame synchronization failed (correlation peak below threshold)."""
@@ -136,12 +139,6 @@ class LoadingTable:
                 fh.write(f"{i},{b},{power_db:.6g}\n")
 
 
-def load_loading_csv(path) -> LoadingTable:
-    rows = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
-    power = np.where(np.isfinite(rows["power_db"]), 10 ** (rows["power_db"] / 10.0), 0.0)
-    return LoadingTable(rows["bits"].astype(int), power)
-
-
 @dataclass(frozen=True, eq=False)
 class SnrProfile:
     """Per-carrier SNR estimates in dB (carrier 1 .. usable_carriers)."""
@@ -155,8 +152,8 @@ class SnrProfile:
         snr.setflags(write=False)
         object.__setattr__(self, "snr_db", snr)
 
-    def carrier_frequencies(self, cfg: DmtConfig, sample_rate: float) -> np.ndarray:
-        return np.arange(1, self.snr_db.size + 1) * sample_rate / cfg.fft_length
+    def carrier_frequencies(self, cfg: DmtConfig) -> np.ndarray:
+        return np.arange(1, self.snr_db.size + 1) * DMT_SAMPLE_RATE / cfg.fft_length
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,7 @@ def symbol_indices_to_bits(indices: np.ndarray, width: int) -> np.ndarray:
 # rate arithmetic
 # ---------------------------------------------------------------------------
 
-def rate_to_bits(cfg: DmtConfig, sample_rate: float) -> int:
+def rate_to_bits(cfg: DmtConfig) -> int:
     """Bits per data symbol needed for the target net rate.
 
     Accounts for the cyclic prefix and the 4-in-128 training overhead;
@@ -269,7 +266,7 @@ def rate_to_bits(cfg: DmtConfig, sample_rate: float) -> int:
     rate = Fraction(int(round(cfg.target_bit_rate)))
     if rate == 0:
         return 0
-    fs = Fraction(int(round(sample_rate)))
+    fs = Fraction(int(round(DMT_SAMPLE_RATE)))
     per_symbol = (
         rate * cfg.fft_length * (1 + cfg.cp_fraction) * cfg.frame_symbols
         / (cfg.data_symbols_per_frame * fs)
@@ -401,6 +398,20 @@ def _hermitian_time_symbols(carriers: np.ndarray, cfg: DmtConfig) -> np.ndarray:
     return time_sym.real
 
 
+def _with_prefix(time_sym: np.ndarray, cfg: DmtConfig) -> np.ndarray:
+    """Time-domain symbols (n_symbols, fft_length), each behind its cyclic
+    prefix, as one waveform."""
+    return np.concatenate([time_sym[:, -cfg.cp_length :], time_sym], axis=1).reshape(-1)
+
+
+def _received_carriers(aligned: np.ndarray, cfg: DmtConfig) -> np.ndarray:
+    """The (frame_symbols, usable) carrier matrix of a frame-aligned
+    waveform: cyclic prefixes stripped, FFT, used carriers selected."""
+    frame = aligned[: cfg.frame_length].reshape(cfg.frame_symbols, cfg.symbol_length)
+    spectra = fft_pow2(frame[:, cfg.cp_length :]) / cfg.fft_length
+    return spectra[:, 1 : cfg.usable_carriers + 1]
+
+
 def _bit_classes(loading: LoadingTable):
     """(b, carrier indices, bit columns) per loaded constellation size b.
 
@@ -430,9 +441,7 @@ def map_frame_bits(bits: np.ndarray, loading: LoadingTable, cfg: DmtConfig) -> n
     return carriers
 
 
-def dmt_modulate(
-    bits: np.ndarray, loading: LoadingTable, cfg: DmtConfig, sample_rate: float = 84e9
-) -> SampleBuffer:
+def dmt_modulate(bits: np.ndarray, loading: LoadingTable, cfg: DmtConfig) -> SampleBuffer:
     """One DMT frame: training symbols, QAM-loaded data symbols, Hermitian
     IFFT, cyclic prefix, RMS normalization and clipping."""
     if loading.bits.size != cfg.usable_carriers:
@@ -441,11 +450,9 @@ def dmt_modulate(
         raise ValueError("carriers beyond the max-loaded limit must stay empty")
     data = map_frame_bits(bits, loading, cfg)
     carriers = np.vstack([training_symbols(loading, cfg), data])
-    time_sym = _hermitian_time_symbols(carriers, cfg)
-    with_cp = np.concatenate([time_sym[:, -cfg.cp_length :], time_sym], axis=1)
-    wave = with_cp.reshape(-1)
+    wave = _with_prefix(_hermitian_time_symbols(carriers, cfg), cfg)
     wave = wave / np.sqrt(np.mean(wave**2))
-    out = SampleBuffer(wave, sample_rate)
+    out = SampleBuffer(wave, DMT_SAMPLE_RATE)
     if cfg.clipping_ratio_db is not None:
         out = clip(out, cfg.clipping_ratio_db)
     return out
@@ -455,8 +462,7 @@ def dmt_modulate(
 def _training_template(loading: LoadingTable, cfg: DmtConfig) -> np.ndarray:
     """The training symbols with their cyclic prefixes as one waveform:
     the sync correlation template (cached per table and config)."""
-    t_sym = _hermitian_time_symbols(training_symbols(loading, cfg), cfg)
-    template = np.concatenate([t_sym[:, -cfg.cp_length :], t_sym], axis=1).reshape(-1)
+    template = _with_prefix(_hermitian_time_symbols(training_symbols(loading, cfg), cfg), cfg)
     template.setflags(write=False)
     return template
 
@@ -494,9 +500,7 @@ def _equalize_frame(
 ) -> tuple[np.ndarray, np.ndarray]:
     """CP strip, FFT, training-initialized decision-directed 1-tap
     equalization.  Returns (equalized data carriers, active mask)."""
-    frame = aligned[: cfg.frame_length].reshape(cfg.frame_symbols, cfg.symbol_length)
-    spectra = fft_pow2(frame[:, cfg.cp_length :]) / cfg.fft_length
-    received = spectra[:, 1 : cfg.usable_carriers + 1]
+    received = _received_carriers(aligned, cfg)
     known = training_symbols(loading, cfg)
     active = loading.bits > 0
     h = np.ones(cfg.usable_carriers, dtype=np.complex128)
@@ -563,10 +567,10 @@ def probe_bits(cfg: DmtConfig) -> np.ndarray:
     return rng.integers(0, 2, size=cfg.data_symbols_per_frame * loading.total_bits)
 
 
-def make_probe_frame(cfg: DmtConfig, sample_rate: float = 84e9) -> SampleBuffer:
+def make_probe_frame(cfg: DmtConfig) -> SampleBuffer:
     """The known uniform-16-QAM probe frame used for SNR estimation."""
     probe_cfg = replace(cfg, max_loaded_carriers=cfg.usable_carriers)
-    return dmt_modulate(probe_bits(cfg), probe_loading(cfg), probe_cfg, sample_rate)
+    return dmt_modulate(probe_bits(cfg), probe_loading(cfg), probe_cfg)
 
 
 def estimate_snr(rx: SampleBuffer, cfg: DmtConfig) -> SnrProfile:
@@ -579,10 +583,7 @@ def estimate_snr(rx: SampleBuffer, cfg: DmtConfig) -> SnrProfile:
     whole frame rather than the four training symbols alone.
     """
     loading = probe_loading(cfg)
-    aligned = _synchronize(rx, loading, cfg)
-    frame = aligned[: cfg.frame_length].reshape(cfg.frame_symbols, cfg.symbol_length)
-    spectra = fft_pow2(frame[:, cfg.cp_length :]) / cfg.fft_length
-    received = spectra[:, 1 : cfg.usable_carriers + 1]
+    received = _received_carriers(_synchronize(rx, loading, cfg), cfg)
     known = np.vstack(
         [training_symbols(loading, cfg), map_frame_bits(probe_bits(cfg), loading, cfg)]
     )

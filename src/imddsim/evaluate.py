@@ -18,16 +18,13 @@ from . import adaptive
 from . import dmt as dmt_mod
 from . import link as link_mod
 from . import pam as pam_mod
-# train_preemphasis is unused here: bound only for perfbench/spans.py, which wraps it
-from .adaptive import train_preemphasis, train_preemphasis_waveform
+from .adaptive import train_preemphasis_waveform
 from .link import ChannelModel, apply_channel
-from .sigproc import (
-    SampleBuffer,
-    SymbolSequence,
-    debruijn_sequence,
-    raised_cosine_shape,
-    resample,
-)
+# raised_cosine_shape is unused here, and train_preemphasis names the one
+# trainer: both stay bound because perfbench/spans.py wraps them by name
+from .sigproc import SampleBuffer, SymbolSequence, debruijn_sequence, raised_cosine_shape, resample
+
+train_preemphasis = train_preemphasis_waveform
 
 FEC_THRESHOLDS = {"kp4": 2e-4, "cibch": 4.4e-3}
 
@@ -98,19 +95,10 @@ def _trained_preemphasis(n_taps: int, dac_rate: float, partial_response: bool) -
     """
     probe = _payload(8)
     symbols = pam_mod.pr_encode(probe) if partial_response else probe
-    shaped = _shaped_probe(symbols, dac_rate)
+    shaped = pam_mod.shape_pulses(symbols.levels, dac_rate / pam_mod.OVERSAMPLE)
     observed = link_mod.apply_stages(shaped, link_mod.TX_DRIVER_STAGES)
     taps = train_preemphasis_waveform(shaped, observed, n_taps)
     return tuple(taps.coefficients)
-
-
-def _shaped_probe(symbols: SymbolSequence, dac_rate: float) -> SampleBuffer:
-    """Probe shaped as :func:`pam.pam_transmit` shapes: raised cosine at
-    `pam.RC_BETA`, `pam.OVERSAMPLE` samples/symbol at the DAC rate."""
-    oversample = pam_mod.OVERSAMPLE
-    at_symbol_rate = SampleBuffer(symbols.levels, dac_rate / oversample)
-    shaped = raised_cosine_shape(at_symbol_rate, pam_mod.RC_BETA, oversample.numerator)
-    return SampleBuffer(shaped.samples[:: oversample.denominator], dac_rate)
 
 
 PAM_CLIPPING_DB = {"nyquist_pam4": 6.0, "pr_pam4": 5.0}
@@ -147,7 +135,7 @@ class PamExperiment:
         if self.tx_preemphasis_taps is not None:
             taps = _trained_preemphasis(self.tx_preemphasis_taps, tx.dac_rate, tx.partial_response)
             tx = replace(tx, pre_emphasis_taps=taps)
-        if self.channel.eml:
+        if self.channel.hardware:
             tx = replace(tx, level_adjust=pam_mod.level_adjustment_for_eml(tx.n_levels))
         return tx
 
@@ -161,10 +149,6 @@ class PamExperiment:
         bits = pam_mod.pam4_demap(_payload(self.payload_order).indices)
         wave = pam_mod.pam_transmit(bits, self.resolve_tx())
         return bits, apply_channel(wave, self.channel, seed=seed)
-
-
-DMT_SAMPLE_RATE = 84e9
-"""DAC and ADC rate of the DMT chain: the one 84 GS/s converter pair."""
 
 
 @dataclass(frozen=True)
@@ -190,7 +174,7 @@ class DmtExperiment:
         rx_all = []
         for f in range(self.frames):
             bits = rng.integers(0, 2, size=n_bits)
-            wave = dmt_mod.dmt_modulate(bits, loading, self.cfg, DMT_SAMPLE_RATE)
+            wave = dmt_mod.dmt_modulate(bits, loading, self.cfg)
             received = apply_channel(wave, self.channel, seed=seed * 131 + f)
             rx_bits, _ = dmt_mod.dmt_demodulate(received, loading, self.cfg)
             tx_all.append(bits)
@@ -200,7 +184,7 @@ class DmtExperiment:
 
 @lru_cache(maxsize=32)
 def _dmt_snr(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.SnrProfile:
-    probe = dmt_mod.make_probe_frame(cfg, DMT_SAMPLE_RATE)
+    probe = dmt_mod.make_probe_frame(cfg)
     received = apply_channel(probe, channel, seed=channel.seed ^ 0x534E52)
     return dmt_mod.estimate_snr(received, cfg)
 
@@ -208,7 +192,7 @@ def _dmt_snr(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.SnrProfil
 @lru_cache(maxsize=32)
 def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.LoadingTable:
     snr = _dmt_snr(cfg, channel)
-    target = dmt_mod.rate_to_bits(cfg, DMT_SAMPLE_RATE)
+    target = dmt_mod.rate_to_bits(cfg)
     loading = dmt_mod.chow_bit_loading(snr, target, cfg)
     return dmt_mod.cioffi_power_loading(loading, snr)
 
@@ -456,7 +440,7 @@ def _dmt_stage(fft_length: int, cp_fraction: Fraction) -> StageLatency:
     # butterflies run fully parallel, N log2 N sequential ops in the worst
     # case (model extension; the reference arithmetic covers only the FFEs
     # and the MLSE)
-    buffer_ns = float(fft_length * (1 + cp_fraction)) / DMT_SAMPLE_RATE * 1e9
+    buffer_ns = float(fft_length * (1 + cp_fraction)) / dmt_mod.DMT_SAMPLE_RATE * 1e9
     ops_count = fft_length * math.log2(fft_length)
     return StageLatency("dmt_fft", buffer_ns + CLOCK_NS, buffer_ns + ops_count * CLOCK_NS)
 

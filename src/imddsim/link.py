@@ -214,28 +214,15 @@ def pin_tia_saturation(signal: SampleBuffer, knee: float) -> SampleBuffer:
 
 
 # ---------------------------------------------------------------------------
-# link budget and channel model
+# channel model
 # ---------------------------------------------------------------------------
 
 FIBER_ATTENUATION_DB_PER_KM = 0.32
 """Loss of the modeled single-mode fiber."""
 
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Optical power bookkeeping between EML output and PIN input."""
-
-    fiber_km: float = 0.0
-    voa_db: float = 0.0
-    launch_power_dbm: float = 1.0
-
-    @property
-    def loss_db(self) -> float:
-        return self.fiber_km * FIBER_ATTENUATION_DB_PER_KM + self.voa_db
-
-    @property
-    def rop_dbm(self) -> float:
-        return self.launch_power_dbm - self.loss_db
+# TIA compression knee (mW, AC amplitude).  Fitted so partial-response
+# PAM4 shows its interior BER-vs-ROP optimum around -1 dBm.
+PAPER_SATURATION_KNEE_MW = 0.55
 
 
 @dataclass(frozen=True)
@@ -259,21 +246,30 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Composable link: Tx responses -> EML curve -> budget -> Rx responses
-    -> saturation -> noise.  Immutable; deterministic for a fixed seed.
+    """The link: with `hardware`, `TX_STAGES` -> the EML -> fiber and VOA
+    loss -> `RX_STAGES` -> AC coupling -> TIA saturation at
+    `PAPER_SATURATION_KNEE_MW`; without it, a flat link.  Then additive
+    noise.  Immutable; deterministic for a fixed seed.
 
-    `eml` puts the one modeled EML (:func:`eml_modulate`) into the link;
-    without it the waveform passes the filter stages at its own scale.
+    The EML launches `EML_POWER_AT_BIAS_DBM`; fiber and VOA attenuate only
+    the hardware link.
     """
 
     name: str = "custom"
-    tx_stages: tuple[FilterStage, ...] = ()
-    eml: bool = False
-    budget: LinkBudget = LinkBudget(launch_power_dbm=0.0)
-    rx_stages: tuple[FilterStage, ...] = ()
-    saturation_knee_mw: float | None = None
+    hardware: bool = False
+    fiber_km: float = 0.0
+    voa_db: float = 0.0
     noise: NoiseSpec = NoiseSpec()
     seed: int = 0
+
+    @property
+    def loss_db(self) -> float:
+        return self.fiber_km * FIBER_ATTENUATION_DB_PER_KM + self.voa_db
+
+    @property
+    def rop_dbm(self) -> float:
+        """Received optical power; 0 dBm on a flat link."""
+        return (EML_POWER_AT_BIAS_DBM if self.hardware else 0.0) - self.loss_db
 
 
 def transmit_optical(tx: SampleBuffer, model: ChannelModel) -> SampleBuffer:
@@ -282,14 +278,14 @@ def transmit_optical(tx: SampleBuffer, model: ChannelModel) -> SampleBuffer:
 
     The drive is normalized at the DAC (unit full scale at the cascade
     input); filter ringing past full scale compresses softly in the EML
-    curve knees, as in the analog chain.  Without an EML the waveform
-    passes through the filter stages at its own scale.
+    curve knees, as in the analog chain.  A flat link passes the waveform
+    through at its own scale.
     """
-    if not model.eml:
-        return apply_stages(tx, model.tx_stages)
+    if not model.hardware:
+        return tx
     peak = np.max(np.abs(tx.samples))
     normalized = SampleBuffer(tx.samples / peak if peak > 0 else tx.samples, tx.sample_rate)
-    shaped = apply_stages(normalized, model.tx_stages)
+    shaped = apply_stages(normalized, TX_STAGES)
     optical, _ = eml_modulate(shaped)
     return optical
 
@@ -303,20 +299,16 @@ def apply_channel(tx: SampleBuffer, model: ChannelModel, seed: int | None = None
     """
     optical = transmit_optical(tx, model)
     x = optical.samples
-    if model.eml:
-        x = x * 10.0 ** (-model.budget.loss_db / 10.0)
-    received = SampleBuffer(x, optical.sample_rate)
-    received = apply_stages(received, model.rx_stages)
-    x = received.samples
-    if model.eml:
+    if model.hardware:
+        attenuated = SampleBuffer(x * 10.0 ** (-model.loss_db / 10.0), optical.sample_rate)
+        x = apply_stages(attenuated, RX_STAGES).samples
         x = x - np.mean(x)  # AC-coupled TIA
-    if model.saturation_knee_mw is not None:
-        x = pin_tia_saturation(SampleBuffer(x, received.sample_rate), model.saturation_knee_mw).samples
+        x = pin_tia_saturation(SampleBuffer(x, optical.sample_rate), PAPER_SATURATION_KNEE_MW).samples
     sigma = model.noise.sigma_for(x)
     if sigma > 0:
         rng = np.random.default_rng(model.seed if seed is None else seed)
         x = x + rng.normal(0.0, sigma, size=x.size)
-    return SampleBuffer(x, received.sample_rate)
+    return SampleBuffer(x, optical.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +321,10 @@ def apply_channel(tx: SampleBuffer, model: ChannelModel, seed: int | None = None
 # the measured sensitivity region.  Model fit, not ground truth.
 PAPER_NOISE_SIGMA = 0.003
 
-# TIA compression knee (mW, AC amplitude).  Fitted so partial-response
-# PAM4 shows its interior BER-vs-ROP optimum around -1 dBm.
-PAPER_SATURATION_KNEE_MW = 0.55
-
 
 def _paper_channel(name: str, fiber_km: float, voa_db: float, seed: int) -> ChannelModel:
-    return ChannelModel(
-        name=name,
-        tx_stages=TX_STAGES,
-        eml=True,
-        budget=LinkBudget(fiber_km=fiber_km, voa_db=voa_db, launch_power_dbm=EML_POWER_AT_BIAS_DBM),
-        rx_stages=RX_STAGES,
-        saturation_knee_mw=PAPER_SATURATION_KNEE_MW,
-        noise=NoiseSpec(sigma=PAPER_NOISE_SIGMA),
-        seed=seed,
-    )
+    return ChannelModel(name=name, hardware=True, fiber_km=fiber_km, voa_db=voa_db,
+                        noise=NoiseSpec(sigma=PAPER_NOISE_SIGMA), seed=seed)
 
 
 def make_channel(preset: str, voa_db: float = 0.0, seed: int = 0, snr_db: float = 20.0) -> ChannelModel:
@@ -375,16 +355,15 @@ CHANNEL_PRESETS = ("ideal", "awgn_only", "paper_b2b", "paper_10km", "paper_20km"
 def preset_summary(preset: str) -> str:
     model = make_channel(preset)
     parts = [f"{preset}:"]
-    if model.tx_stages or model.rx_stages:
-        names = ", ".join(s.name for s in model.tx_stages + model.rx_stages)
+    if model.hardware:
+        names = ", ".join(s.name for s in TX_STAGES + RX_STAGES)
         parts.append(f"stages [{names}]")
+        parts.append(
+            f"EML bias {EML_BIAS_V} V, fiber {model.fiber_km:g} km x "
+            f"{FIBER_ATTENUATION_DB_PER_KM} dB/km, launch {EML_POWER_AT_BIAS_DBM:g} dBm"
+        )
     else:
         parts.append("all stages flat")
-    if model.eml:
-        parts.append(
-            f"EML bias {EML_BIAS_V} V, fiber {model.budget.fiber_km:g} km x "
-            f"{FIBER_ATTENUATION_DB_PER_KM} dB/km, launch {model.budget.launch_power_dbm:g} dBm"
-        )
     if model.noise.snr_db is not None:
         parts.append(f"AWGN at {model.noise.snr_db:g} dB SNR")
     elif model.noise.sigma > 0:

@@ -80,8 +80,8 @@ def pr_encode(symbols: SymbolSequence) -> SymbolSequence:
 class LevelAdjustment:
     """Adjusted symbol levels that pre-compensate the modulator curve.
 
-    Values live on the nominal alphabet's scale; identity equals the
-    equidistant alphabet itself.
+    Values live on the scale of the nominal equidistant alphabet
+    2k - (n - 1).
     """
 
     target_levels: tuple[float, ...]
@@ -89,10 +89,6 @@ class LevelAdjustment:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.target_levels, self.target_levels[1:])):
             raise ValueError("adjusted levels must be monotone increasing")
-
-    @classmethod
-    def identity(cls, n_levels: int) -> "LevelAdjustment":
-        return cls(tuple(2.0 * np.arange(n_levels) - (n_levels - 1)))
 
     @property
     def alphabet(self) -> np.ndarray:
@@ -168,6 +164,15 @@ def adjusted_symbol_values(bits, cfg: PamTxConfig) -> SymbolSequence:
     return seq
 
 
+def shape_pulses(levels: np.ndarray, symbol_rate: float) -> SampleBuffer:
+    """Symbol values to the DAC-rate waveform: raised cosine at `RC_BETA`
+    with 3 samples/symbol, then every second sample kept."""
+    symbols = SampleBuffer(levels, symbol_rate)
+    shaped = sigproc.raised_cosine_shape(symbols, RC_BETA, OVERSAMPLE.numerator)
+    step = OVERSAMPLE.denominator
+    return SampleBuffer(shaped.samples[::step], shaped.sample_rate / step)
+
+
 def pam_transmit(bits, cfg: PamTxConfig) -> SampleBuffer:
     """Full transmit chain to the DAC output waveform.
 
@@ -177,11 +182,7 @@ def pam_transmit(bits, cfg: PamTxConfig) -> SampleBuffer:
     returned waveform runs at the DAC rate (84 GS/s for the 112 Gb/s
     configuration) and includes the quantization error.
     """
-    seq = adjusted_symbol_values(bits, cfg)
-    symbols = SampleBuffer(seq.levels, cfg.symbol_rate)
-    shaped = sigproc.raised_cosine_shape(symbols, RC_BETA, OVERSAMPLE.numerator)
-    step = OVERSAMPLE.denominator
-    wave = SampleBuffer(shaped.samples[::step], shaped.sample_rate / step)
+    wave = shape_pulses(adjusted_symbol_values(bits, cfg).levels, cfg.symbol_rate)
     if cfg.pre_emphasis_taps is not None:
         taps = np.asarray(cfg.pre_emphasis_taps)
         wave = SampleBuffer(adaptive.apply_taps_cyclic(wave.samples, taps), wave.sample_rate)

@@ -246,18 +246,12 @@ def debruijn_sequence(alphabet_size: int, order: int) -> SymbolSequence:
 # clipping and quantization
 # ---------------------------------------------------------------------------
 
-def clip(
-    signal: SampleBuffer, clipping_ratio_db: float, reference_rms: float | None = None
-) -> SampleBuffer:
-    """Symmetric clipping at `rms * 10**(CR/20)`.
-
-    The clip level is derived once from the RMS of the signal as presented
-    (or from `reference_rms`) and then frozen, so composed stages behave
-    deterministically: re-clipping with the original RMS is a no-op.
-    """
+def clip(signal: SampleBuffer, clipping_ratio_db: float) -> SampleBuffer:
+    """Symmetric clipping at `rms * 10**(CR/20)`, the RMS taken from the
+    signal as presented."""
     if not np.isfinite(clipping_ratio_db):
         raise ValueError("clipping ratio must be finite")
-    rms = signal.rms if reference_rms is None else float(reference_rms)
+    rms = signal.rms
     if rms <= 0.0:
         raise ValueError("clip level undefined for a zero-power signal")
     level = rms * 10.0 ** (clipping_ratio_db / 20.0)

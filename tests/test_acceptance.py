@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from imddsim import link as link_mod
-from imddsim.adaptive import MlseConfig, mlse_detect, train_preemphasis
+from imddsim.adaptive import MlseConfig, mlse_detect, train_preemphasis_waveform
 from imddsim.cli import main as cli_main
 from imddsim.cli import parse_config
 from imddsim.dmt import (
@@ -108,7 +108,7 @@ def test_criterion_1_latency_budget():
 def test_criterion_2_rate_arithmetic():
     t0 = time.time()
     cfg = DmtConfig()
-    bits = rate_to_bits(cfg, 84e9)
+    bits = rate_to_bits(cfg)
     channel = make_channel("paper_b2b", seed=1)
     snr = estimate_snr(apply_channel(make_probe_frame(cfg), channel, seed=1), cfg)
     loading = cioffi_power_loading(chow_bit_loading(snr, bits, cfg), snr)
@@ -227,7 +227,7 @@ def test_criterion_6_preemphasis_flatness():
     probe = _payload(8)
     stages = link_mod.TX_DRIVER_STAGES
     observed = link_mod.apply_stages(SampleBuffer(probe.levels, 84e9), stages)
-    taps = train_preemphasis(probe, observed, n_taps=61)
+    taps = train_preemphasis_waveform(SampleBuffer(probe.levels, 84e9), observed, 61)
     freqs = np.linspace(1e8, 30.8e9, 400)
     w = np.abs(taps.frequency_response(freqs, 84e9))
     h = np.abs(link_mod.cascade_response(stages, freqs))
@@ -341,7 +341,7 @@ def test_criterion_7e_dmt_fft_length_gains():
     errs = {}
     for n in (256, 512, 2048):
         cfg = DmtConfig.for_fft_length(n, clipping_ratio_db=10.0)
-        frame_bits = rate_to_bits(cfg, 84e9) * cfg.data_symbols_per_frame
+        frame_bits = rate_to_bits(cfg) * cfg.data_symbols_per_frame
         frames = -(-1_000_000 // frame_bits)
         ber, errors, total = dmt_ber(cfg, chan, frames=frames, seed=7)
         assert total >= 1_000_000
@@ -443,11 +443,11 @@ def test_criterion_8_all_committed_configs_run(tmp_path):
 
 def test_criterion_9_link_budget():
     t0 = time.time()
-    budget = make_channel("paper_20km").budget
-    ok = budget.loss_db == pytest.approx(6.4, abs=1e-12) and budget.rop_dbm == pytest.approx(
+    channel = make_channel("paper_20km")
+    ok = channel.loss_db == pytest.approx(6.4, abs=1e-12) and channel.rop_dbm == pytest.approx(
         -5.4, abs=1e-12
     )
     report(
         "criterion 9", "20 km preset ROP = launch - 6.4 dB = -5.4 dBm", ok,
-        f"loss {budget.loss_db:g} dB, ROP {budget.rop_dbm:g} dBm ({time.time()-t0:.1f}s)",
+        f"loss {channel.loss_db:g} dB, ROP {channel.rop_dbm:g} dBm ({time.time()-t0:.1f}s)",
     )

@@ -6,8 +6,8 @@ from imddsim.link import (
     EML_BIAS_V,
     EML_V_MAX,
     EML_V_MIN,
+    ChannelModel,
     FilterStage,
-    LinkBudget,
     apply_channel,
     apply_stages,
     cascade_response,
@@ -32,11 +32,10 @@ DISPERSION_FIR = FilterStage("disp", "fir", fir_taps=(1.0, 0.35, -0.2, 0.12, 0.0
 
 class TestFilterStages:
     def test_all_disabled_is_flat(self):
-        # the ideal preset has no stages, and an empty cascade is unity
-        ideal = make_channel("ideal")
-        assert ideal.tx_stages == () and ideal.rx_stages == ()
+        # the ideal preset has no hardware stages, and an empty cascade is unity
+        assert not make_channel("ideal").hardware
         freqs = np.linspace(0, 42e9, 64)
-        np.testing.assert_allclose(np.abs(cascade_response(ideal.tx_stages, freqs)), 1.0)
+        np.testing.assert_allclose(np.abs(cascade_response((), freqs)), 1.0)
 
     def test_unity_at_dc(self):
         freqs = np.array([0.0])
@@ -184,9 +183,9 @@ class TestSaturation:
 
 class TestLinkBudget:
     def test_rop_arithmetic(self):
-        budget = LinkBudget(fiber_km=20.0, voa_db=0.0, launch_power_dbm=1.0)
-        assert budget.loss_db == pytest.approx(6.4)
-        assert budget.rop_dbm == pytest.approx(-5.4)
+        model = ChannelModel(hardware=True, fiber_km=20.0, voa_db=0.0)
+        assert model.loss_db == pytest.approx(6.4)
+        assert model.rop_dbm == pytest.approx(-5.4)
 
     @pytest.mark.parametrize("preset", CHANNEL_PRESETS)
     def test_preset_equal_and_hash_equal_across_calls(self, preset):
@@ -196,9 +195,12 @@ class TestLinkBudget:
         assert a == b and hash(a) == hash(b)
 
     def test_preset_budgets(self):
-        assert make_channel("paper_10km").budget.fiber_km == 10.0
-        assert make_channel("paper_20km").budget.rop_dbm == pytest.approx(-5.4)
-        assert make_channel("paper_b2b").budget.loss_db == 0.0
+        # 1 dBm launch on the hardware link, 0.32 dB/km of fiber, the VOA;
+        # a flat link reads 0 dBm whatever the VOA
+        expected = {"ideal": 0.0, "awgn_only": 0.0, "paper_b2b": -1.8,
+                    "paper_10km": -5.0, "paper_20km": -8.2}
+        for preset in CHANNEL_PRESETS:
+            assert make_channel(preset, voa_db=2.8).rop_dbm == pytest.approx(expected[preset])
 
 
 class TestApplyChannel:
@@ -261,3 +263,11 @@ class TestApplyChannel:
         for preset in CHANNEL_PRESETS:
             text = preset_summary(preset)
             assert preset in text
+
+    def test_hardware_summary_lists_the_modeled_chain(self):
+        names = ", ".join(s.name for s in TX_STAGES + RX_STAGES)
+        assert preset_summary("paper_10km") == (
+            f"paper_10km: stages [{names}] EML bias -1.25 V, fiber 10 km x 0.32 dB/km, "
+            "launch 1 dBm noise sigma 0.003"
+        )
+        assert preset_summary("awgn_only") == "awgn_only: all stages flat AWGN at 20 dB SNR"

@@ -130,8 +130,8 @@ class TestPartialResponse:
 
 class TestLevelAdjustment:
     def test_identity_is_nominal_alphabet(self):
-        np.testing.assert_array_equal(LevelAdjustment.identity(4).alphabet, [-3, -1, 1, 3])
-        assert LevelAdjustment.identity(7).alphabet.size == 7
+        np.testing.assert_array_equal(LevelAdjustment((-3.0, -1.0, 1.0, 3.0)).alphabet, [-3, -1, 1, 3])
+        assert LevelAdjustment(tuple(2.0 * np.arange(7) - 6)).alphabet.size == 7
 
     @pytest.mark.parametrize("n_levels", [4, 7])
     def test_equidistant_optical_levels(self, n_levels):
@@ -179,7 +179,7 @@ class TestTransmit:
         assert papr_db(boosted) > papr_db(plain)
 
     def test_level_adjust_size_mismatch_rejected(self, payload_bits):
-        cfg = PamTxConfig(partial_response=True, level_adjust=LevelAdjustment.identity(4))
+        cfg = PamTxConfig(partial_response=True, level_adjust=LevelAdjustment((-3.0, -1.0, 1.0, 3.0)))
         with pytest.raises(ValueError):
             pam_transmit(payload_bits, cfg)
 

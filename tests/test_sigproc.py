@@ -242,8 +242,12 @@ class TestClip:
         rng = np.random.default_rng(4)
         sig = SampleBuffer(rng.normal(size=4096), 1.0)
         once = clip(sig, 6.0)
-        twice = clip(once, 6.0, reference_rms=sig.rms)
-        np.testing.assert_array_equal(once.samples, twice.samples)
+        # the level comes from the input's RMS; re-clipping at that level
+        # changes nothing (a clipped signal's own RMS is lower)
+        level = sig.rms * 10 ** (6.0 / 20)
+        assert np.max(np.abs(once.samples)) == level
+        twice = np.clip(once.samples, -level, level)
+        np.testing.assert_array_equal(once.samples, twice)
 
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
