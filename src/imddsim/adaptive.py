@@ -450,56 +450,121 @@ class MlseConfig:
         return cls.for_fir_channel(np.array([1.0, 1.0]), alphabet, memory, start_symbol=0)
 
 
+MLSE_BATCH_STATES = 256
+"""Most trellis states, summed over its streams, that one Viterbi time loop
+of :func:`mlse_detect_batch` carries.  More streams run as consecutive
+loops, so the digit table stays at 256 bytes per symbol (16.8 MB for
+65,536 symbols); a single larger trellis runs alone."""
+
+
 def mlse_detect(samples: np.ndarray | SampleBuffer, cfg: MlseConfig) -> SymbolSequence:
-    """Viterbi detection with squared-Euclidean branch metrics.
+    """Viterbi detection of one stream: :func:`mlse_detect_batch` of one."""
+    (detected,) = mlse_detect_batch([samples], [cfg])
+    return detected
+
+
+def mlse_detect_batch(
+    streams: list[np.ndarray | SampleBuffer],
+    trellises: list[MlseConfig],
+) -> list[SymbolSequence]:
+    """Viterbi detection with squared-Euclidean branch metrics, stream b on
+    trellis ``trellises[b]``.
 
     Full-block traceback (deeper than the usual 5x-memory window); ties
-    break toward the lower state index for reproducibility.
+    break toward the lower state index for reproducibility.  The streams
+    must have equal lengths; their trellises may differ in memory and in
+    expected outputs.  Consecutive streams share one time loop up to
+    `MLSE_BATCH_STATES` summed states (see `_viterbi`); each stream's
+    result does not depend on the streams it shares a loop with.
+    """
+    ys = [s.samples if isinstance(s, SampleBuffer) else np.asarray(s, dtype=np.float64)
+          for s in streams]
+    if len(ys) != len(trellises):
+        raise ValueError(f"{len(ys)} MLSE streams for {len(trellises)} trellises")
+    if any(y.size != ys[0].size for y in ys):
+        raise ValueError("MLSE streams must have equal lengths")
+    detected: list[SymbolSequence] = []
+    start = 0
+    while start < len(ys):
+        stop = start + 1
+        states = trellises[start].n_states
+        while stop < len(ys) and states + trellises[stop].n_states <= MLSE_BATCH_STATES:
+            states += trellises[stop].n_states
+            stop += 1
+        detected += _viterbi(ys[start:stop], trellises[start:stop])
+        start = stop
+    return detected
 
-    The predecessors of next-state ``s' = 4 g + u`` are ``g + d * group``
-    for d = 0..3, so viewing the metrics as ``(4, group, 1)`` lines every
-    predecessor up with its successors without a gather.  Branch metrics
-    are formed a chunk of symbols at a time by broadcasting.  Each
+
+def _viterbi(ys: list[np.ndarray], trellises: list[MlseConfig]) -> list[SymbolSequence]:
+    """One Viterbi time loop over every stream in `ys`.
+
+    The states of all trellises lie side by side on one axis of S rows.
+    In a trellis of ``4 * group`` states the predecessors of next-state
+    ``s' = 4 g + u`` are ``g + d * group`` for d = 0..3, and the edge
+    consumes input symbol u; so every row has exactly four candidates,
+    held as an ``(S, 4)`` block with the predecessor digit d on the last
+    axis.  Each step gathers the predecessors' metrics (`pred`, in range
+    by construction), adds the branch metrics, takes ``argmin`` along d,
+    and gathers the winners: the value ``min`` returns, at a fraction of
+    the cost of ``min`` along an axis of length 4.  Each
     candidate is the same ``metric + (y - expected) ** 2`` as a per-edge
     sum, so the surviving metrics are bit-exact, and ``argmin`` keeps the
-    lowest digit d, i.e. the lowest predecessor, on ties.  Only the 2-bit
-    digit d is stored per state and step (``uint8``); the traceback
+    lowest digit d, i.e. the lowest predecessor, on ties.  Branch metrics
+    are formed a chunk of symbols at a time by broadcasting.  Only the
+    2-bit digit d is stored per state and step (``uint8``); the traceback
     rebuilds the predecessor from it.
     """
-    y = samples.samples if isinstance(samples, SampleBuffer) else np.asarray(samples, dtype=np.float64)
-    n = y.size
-    n_states = cfg.n_states
-    group = n_states // 4
-    # predecessors of next-state s' are (s' // 4) + d * (n_states/4), d = 0..3;
-    # the edge consumes input symbol s' % 4
-    nxt = np.arange(n_states)
-    pred = (nxt // 4)[np.newaxis, :] + (np.arange(4) * group)[:, np.newaxis]
-    edge_expected = cfg.expected[pred, (nxt % 4)[np.newaxis, :]].reshape(4, group, 4)
-
-    metrics = np.zeros(n_states)
-    if cfg.start_state is not None:
-        metrics = np.full(n_states, 1e30)
-        metrics[cfg.start_state] = 0.0
-    from_pred = metrics.reshape(4, group, 1)  # [d, g] = metric of state g + d * group
-    cand = np.empty((4, group, 4))  # [d, g, u]: edge from g + d * group to 4 * g + u
-    cand_by_next = cand.reshape(4, n_states)
-    digits = np.empty((n, n_states), dtype=np.uint8)
-    # branch metrics for up to 2048 symbols at a time, held to about 1 MB
+    n = ys[0].size
+    offsets = np.cumsum([0] + [cfg.n_states for cfg in trellises]).tolist()
+    n_rows = offsets[-1]
+    pred = np.empty((n_rows, 4), dtype=np.intp)
+    edge_expected = np.empty((n_rows, 4))
+    metrics = np.zeros(n_rows)
+    for cfg, lo in zip(trellises, offsets):
+        rows = slice(lo, lo + cfg.n_states)
+        nxt = np.arange(cfg.n_states)
+        local = (nxt // 4)[:, np.newaxis] + np.arange(4) * (cfg.n_states // 4)
+        pred[rows] = lo + local
+        edge_expected[rows] = cfg.expected[local, (nxt % 4)[:, np.newaxis]]
+        if cfg.start_state is not None:
+            metrics[rows] = 1e30
+            metrics[lo + cfg.start_state] = 0.0
+    cand = np.empty((n_rows, 4))  # [s', d]: edge into s' from its predecessor d
+    cand_flat = cand.reshape(-1)
+    row_base = np.arange(0, cand.size, 4)
+    flat = np.empty(n_rows, dtype=np.intp)
+    digits = np.empty((n, n_rows), dtype=np.uint8)
+    # branch metrics for up to 2048 symbols at a time, held to about 1 MB;
+    # the winning digits of a chunk go to the uint8 table in one copy
     chunk = max(1, min(2048, 2**17 // cand.size))
+    winners = np.empty((chunk, n_rows), dtype=np.intp)
     for t0 in range(0, n, chunk):
         t1 = min(t0 + chunk, n)
-        branch = y[t0:t1, np.newaxis, np.newaxis, np.newaxis] - edge_expected
+        branch = np.empty((t1 - t0, n_rows, 4))
+        for y, lo, hi in zip(ys, offsets, offsets[1:]):
+            np.subtract(y[t0:t1, np.newaxis, np.newaxis], edge_expected[lo:hi], out=branch[:, lo:hi])
         np.square(branch, out=branch)
-        for t, bm in enumerate(branch, t0):
-            np.add(from_pred, bm, out=cand)
-            digits[t] = cand_by_next.argmin(axis=0)
-            cand_by_next.min(axis=0, out=metrics)
-    state = int(np.argmin(metrics))
-    indices = np.empty(n, dtype=np.int64)
-    for t in range(n - 1, -1, -1):
-        indices[t] = state % 4
-        state = state // 4 + int(digits[t, state]) * group
-    return SymbolSequence(indices, cfg.alphabet)
+        for bm, winner in zip(branch, winners):
+            metrics.take(pred, out=cand, mode="clip")
+            np.add(cand, bm, out=cand)
+            cand.argmin(axis=1, out=winner)
+            np.add(winner, row_base, out=flat)
+            cand_flat.take(flat, out=metrics, mode="clip")
+        digits[t0:t1] = winners[: t1 - t0]
+    table = memoryview(digits.reshape(-1))
+    detected = []
+    for cfg, lo, hi in zip(trellises, offsets, offsets[1:]):
+        group = cfg.n_states // 4
+        state = int(np.argmin(metrics[lo:hi]))
+        states = [0] * n
+        at = (n - 1) * n_rows + lo
+        for t in range(n - 1, -1, -1):
+            states[t] = state
+            state = state // 4 + table[at + state] * group
+            at -= n_rows
+        detected.append(SymbolSequence(np.array(states, dtype=np.int64) % 4, cfg.alphabet))
+    return detected
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,8 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
             memory = 1
         elif memory < 1:
             errors.append(f"pam.mlse_memory: pr_pam4 needs an MLSE memory >= 1, got {memory}")
+    elif memory is not None and memory < 0:
+        errors.append(f"pam.mlse_memory: must be >= 0 (0 is no MLSE), got {memory}")
     return replace(cfg, mlse_memory=memory or None)
 
 

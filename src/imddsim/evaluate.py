@@ -247,8 +247,9 @@ def run_blocks(pairs) -> list[BerReport | Exception]:
     Each pair gets what ``count_ber(*experiment.run_block(seed))`` returns
     or raises.  The PAM blocks with the same FFE length, payload and format
     run as one group, `BATCH_STREAMS` at a time: every block's receive
-    front end, one :func:`adaptive.lms_equalize_batch`, every block's back
-    end.  Other experiments run their blocks one by one.
+    front end, one :func:`adaptive.lms_equalize_batch`, one
+    :func:`pam.pam_back_end`, whose MLSE blocks share one Viterbi time
+    loop.  Other experiments run their blocks one by one.
     """
     outcomes: list = [None] * len(pairs)
     # (FFE length, payload order, partial response) -> indices of its pairs
@@ -289,20 +290,21 @@ def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
         equalized = adaptive.lms_equalize_batch(fronts, reference, first.rx.n_ffe_taps)
     except Exception as exc:  # an even FFE length: lms_equalize raises it per block
         equalized = [exc] * len(running)
-    # free the front-end outputs now, and each equalized stream after its
-    # back end
-    del fronts
-    bits = pam_mod.pam4_demap(payload.indices)
-    for k, i in enumerate(running):
-        eq, equalized[k] = equalized[k], None
+    del fronts  # free the front-end outputs
+    streams = []
+    for i, eq in zip(running, equalized):
         if isinstance(eq, Exception):
             outcomes[i] = eq
-            continue
-        try:
-            rx_bits = pam_mod.pam_back_end(eq.output, pairs[i][0].rx, payload)
-            outcomes[i] = count_ber(bits, rx_bits)
-        except Exception as exc:
-            outcomes[i] = exc
+        else:
+            streams.append((i, eq.output))
+    try:
+        received = pam_mod.pam_back_end([output for _, output in streams],
+                                        [pairs[i][0].rx for i, _ in streams], payload)
+    except Exception as exc:  # the batch's MLSE failed: so does each block
+        received = [exc] * len(streams)
+    bits = pam_mod.pam4_demap(payload.indices)
+    for (i, _), rx_bits in zip(streams, received):
+        outcomes[i] = rx_bits if isinstance(rx_bits, Exception) else count_ber(bits, rx_bits)
 
 
 def _run_points(experiments, spec: SweepSpec, indices) -> list[SweepPoint]:

@@ -241,7 +241,10 @@ def pam_receive(signal: SampleBuffer, cfg: PamRxConfig, payload: SymbolSequence)
     reference = ffe_reference(payload, cfg)
     at_symbols = pam_front_end(signal, cfg, reference)
     eq = adaptive.lms_equalize(at_symbols, reference, cfg.n_ffe_taps)
-    return pam_back_end(eq.output, cfg, payload)
+    (rx_bits,) = pam_back_end([eq.output], [cfg], payload)
+    if isinstance(rx_bits, Exception):
+        raise rx_bits
+    return rx_bits
 
 
 def ffe_reference(payload: SymbolSequence, cfg: PamRxConfig) -> SymbolSequence:
@@ -263,22 +266,48 @@ def pam_front_end(signal: SampleBuffer, cfg: PamRxConfig, reference: SymbolSeque
     return np.roll(at_symbols, -lag)
 
 
-def pam_back_end(equalized: np.ndarray, cfg: PamRxConfig, payload: SymbolSequence) -> np.ndarray:
-    """The receive chain after the FFE: hard decision or MLSE, then demap."""
+def pam_back_end(
+    equalized: list[np.ndarray],
+    cfgs: list[PamRxConfig],
+    payload: SymbolSequence,
+) -> list[np.ndarray | Exception]:
+    """The receive chain after the FFE for a batch of equalized blocks of
+    `payload`, block b received with ``cfgs[b]``: hard decision or MLSE,
+    then demap.
+
+    Each block gets its bits, or the ValueError that building its trellis
+    raised (a memory shorter than the channel's, say).  Every MLSE block
+    of the batch, each on its own trellis, goes through one
+    :func:`adaptive.mlse_detect_batch`.
+    """
+    alphabet = np.asarray(PAM4_LEVELS)
+    mids = (alphabet[1:] + alphabet[:-1]) / 2.0
+    indices: list = [None] * len(equalized)
+    mlse_blocks = []
+    trellises = []
+    for b, (output, cfg) in enumerate(zip(equalized, cfgs)):
+        if cfg.mlse_memory is None:
+            indices[b] = np.searchsorted(mids, output)
+            continue
+        try:
+            trellises.append(_trellis(output, cfg, payload))
+        except ValueError as exc:  # this block fails, the others run on
+            indices[b] = exc
+            continue
+        mlse_blocks.append(b)
+    detected = adaptive.mlse_detect_batch([equalized[b] for b in mlse_blocks], trellises)
+    for b, sequence in zip(mlse_blocks, detected):
+        indices[b] = sequence.indices
+    return [i if isinstance(i, Exception) else pam4_demap(i) for i in indices]
+
+
+def _trellis(equalized: np.ndarray, cfg: PamRxConfig, payload: SymbolSequence) -> MlseConfig:
+    """The MLSE trellis of one block: delay-and-add for partial response,
+    else the residual channel fitted to the equalized block."""
     if cfg.partial_response:
-        trellis = MlseConfig.partial_response(PAM4_LEVELS, cfg.mlse_memory)
-        indices = adaptive.mlse_detect(equalized, trellis).indices
-    elif cfg.mlse_memory is not None:
-        h = _fit_residual_channel(equalized, payload.levels, cfg.mlse_memory)
-        trellis = MlseConfig.for_fir_channel(
-            h, PAM4_LEVELS, cfg.mlse_memory, start_symbol=None
-        )
-        indices = adaptive.mlse_detect(equalized, trellis).indices
-    else:
-        alphabet = np.asarray(PAM4_LEVELS)
-        mids = (alphabet[1:] + alphabet[:-1]) / 2.0
-        indices = np.searchsorted(mids, equalized)
-    return pam4_demap(indices)
+        return MlseConfig.partial_response(PAM4_LEVELS, cfg.mlse_memory)
+    h = _fit_residual_channel(equalized, payload.levels, cfg.mlse_memory)
+    return MlseConfig.for_fir_channel(h, PAM4_LEVELS, cfg.mlse_memory, start_symbol=None)
 
 
 def _to_two_sps(signal: SampleBuffer, symbol_rate: float) -> SampleBuffer:

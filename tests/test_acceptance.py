@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from batch_helpers import receive_blocks
 from imddsim import link as link_mod
 from imddsim.adaptive import MlseConfig, mlse_detect, train_preemphasis_waveform
 from imddsim.cli import main as cli_main
@@ -134,9 +135,8 @@ def test_criterion_3_awgn_pam4_oracle():
     sigma = gain * math.sqrt(np.mean(payload.levels**2) * 10 ** (-snr_db / 10.0))
     channel = ChannelModel(name="awgn", noise=NoiseSpec(sigma=sigma), seed=33)
     errors = total = 0
-    for block in range(16):  # 2.1e6 bits
-        rx = apply_channel(wave, channel, seed=500 + block)
-        rx_bits = pam_receive(rx, PamRxConfig(n_ffe_taps=1), payload)
+    received = (apply_channel(wave, channel, seed=500 + block) for block in range(16))  # 2.1e6 bits
+    for rx_bits in receive_blocks(received, PamRxConfig(n_ffe_taps=1), payload):
         errors += int(np.sum(rx_bits != payload_bits))
         total += payload_bits.size
     ber = errors / total

@@ -119,7 +119,8 @@ fft_length = 300
         [("nyquist_pam4", "pam.rx_taps", "4, 5"),
          ("nyquist_pam4", "pam.tx_taps", "5.5"),
          ("dmt", "dmt.fft_length", "300"),
-         ("pr_pam4", "pam.mlse_memory", "0, 1")],
+         ("pr_pam4", "pam.mlse_memory", "0, 1"),
+         ("nyquist_pam4", "pam.mlse_memory", "-1, 1")],
     )
     def test_bad_swept_value_is_the_fixed_config_error(self, tmp_path, capsys, fmt, key, values):
         base = f"[experiment]\nformat = {fmt}\n\n[channel]\npreset = paper_b2b\n"
@@ -143,6 +144,7 @@ fft_length = 300
          ("pam", "payload_order = 0"),
          ("pam", "payload_order = 4"),
          ("pam", "payload_order = 13"),
+         ("pam", "mlse_memory = -1"),
          ("dmt", "frames = 0"),
          ("dmt", "training_symbols = 0"),
          ("dmt", "data_symbols = 0")],

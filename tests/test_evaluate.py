@@ -17,6 +17,7 @@ from imddsim.evaluate import (
     count_ber,
     latency_budget,
     measure_extinction_and_oma,
+    run_blocks,
     run_sweep,
     wilson_interval,
 )
@@ -177,6 +178,33 @@ class TestBatchedSweepParity:
         assert list(run_sweep(experiments, spec, jobs=1).points) == expected
         assert list(run_sweep(experiments, spec, jobs=2).points) == expected
 
+
+class TestMixedRunBlocks:
+    def test_each_block_as_if_run_alone(self):
+        # PR at three MLSE memories (one Viterbi loop), and a Nyquist FFE+MLSE
+        # block next to a hard-decision one; a block drowned in noise fails
+        # in its front end inside the PR batch, and the others run on
+        def pam(channel, **rx):
+            return PamExperiment(rx=PamRxConfig(n_ffe_taps=21, **rx), channel=channel,
+                                 payload_order=6, tx_preemphasis_taps=None)
+
+        link = make_channel("paper_10km", voa_db=3.8, seed=4)
+        drowned = make_channel("awgn_only", snr_db=-40.0, seed=4)
+        experiments = [pam(link, mlse_memory=m, partial_response=True) for m in (1, 2, 3)]
+        experiments += [pam(drowned, mlse_memory=2, partial_response=True),
+                        pam(link, mlse_memory=2), pam(link)]
+        pairs = [(e, 21 + k) for k, e in enumerate(experiments)]
+        outcomes = run_blocks(pairs)
+        failed = []
+        for (experiment, seed), outcome in zip(pairs, outcomes):
+            try:
+                expected = count_ber(*experiment.run_block(seed))
+            except Exception as exc:
+                assert (type(outcome), str(outcome)) == (type(exc), str(exc))
+                failed.append(experiment.channel.name)
+            else:
+                assert outcome == expected
+        assert failed == ["awgn_only"]
 
 class TestLatency:
     def test_nyquist_ffe_paper_values(self):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from imddsim import adaptive
 from imddsim.adaptive import (
     EqualizerDivergence,
     MlseConfig,
@@ -19,6 +20,7 @@ from imddsim.adaptive import (
     lms_equalize,
     lms_equalize_batch,
     mlse_detect,
+    mlse_detect_batch,
 )
 from imddsim.evaluate import PamExperiment, count_ber
 from imddsim.link import make_channel
@@ -358,6 +360,94 @@ class TestMlseParity:
         y = levels + np.concatenate(([PAM4[1]], levels[:-1]))
         cfg = MlseConfig.for_fir_channel(np.array([1.0, 1.0]), PAM4, memory, start_symbol=None)
         assert np.array_equal(mlse_detect(y, cfg).indices, oracle_mlse_detect(y, cfg))
+
+
+# ---------------------------------------------------------------------------
+# batched MLSE: the gather oracle, stream by stream
+# ---------------------------------------------------------------------------
+
+def fir_stream(h, n, rng, sigma):
+    """Random PAM4 symbols through `h`, plus white noise of deviation `sigma`."""
+    clean = np.convolve(PAM4[rng.integers(0, 4, n)], h)[:n]
+    return clean + rng.normal(0, sigma, n) if sigma else clean
+
+
+@st.composite
+def batch_trellis_cases(draw):
+    trellises = []
+    for _ in range(draw(st.integers(1, 6))):
+        memory = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            h = np.array([1.0, 1.0])  # delay-and-add
+        else:
+            n_channel = draw(st.integers(1, memory + 1))
+            h = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_channel,
+                                       max_size=n_channel)))
+            h[0] = 1.0
+        start = draw(st.sampled_from([0, None]))
+        trellises.append((h, MlseConfig.for_fir_channel(h, PAM4, memory, start_symbol=start)))
+    # lengths around the branch-metric chunk sizes: 2**15 // states symbols
+    # (128 at the 256-state cap, 390 at 84 states, 512 at 64), at most 2048
+    n = draw(st.sampled_from([1, 2, 127, 128, 129, 389, 390, 391, 512, 513, 2048, 2049]))
+    seed = draw(st.integers(0, 2**16))
+    sigma = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return trellises, n, seed, sigma
+
+
+def assert_batch_matches_oracle(ys, cfgs):
+    detected = mlse_detect_batch(ys, cfgs)
+    assert len(detected) == len(cfgs)
+    for y, cfg, got in zip(ys, cfgs, detected):
+        assert np.array_equal(got.indices, oracle_mlse_detect(y, cfg))
+        assert np.array_equal(got.alphabet, cfg.alphabet)
+
+
+class TestMlseBatchParity:
+    @settings(max_examples=25, deadline=None)
+    @given(batch_trellis_cases())
+    def test_each_stream_matches_gather_oracle(self, case):
+        trellises, n, seed, sigma = case
+        rng = np.random.default_rng(seed)
+        ys = [fir_stream(h, n, rng, sigma) for h, _ in trellises]
+        assert_batch_matches_oracle(ys, [cfg for _, cfg in trellises])
+
+    def test_noiseless_ties_lowest_predecessor_wins(self):
+        # integer samples on and between the delay-and-add levels, and a
+        # noiseless delay-and-add signal that a second path matches exactly
+        # (see TestMlseParity): candidates meet with equal metrics, on
+        # trellises of every memory side by side
+        rng = np.random.default_rng(7)
+        ties = rng.integers(-7, 8, 3000).astype(np.float64)
+        idx = rng.integers(0, 3, 3000) + np.arange(3000) % 2
+        levels = PAM4[idx]
+        paths = levels + np.concatenate(([PAM4[1]], levels[:-1]))
+        ys, cfgs = [], []
+        for memory in (1, 2, 3):
+            for y, start in ((ties, 0), (ties, None), (paths, None)):
+                ys.append(y)
+                cfgs.append(MlseConfig.for_fir_channel(np.array([1.0, 1.0]), PAM4, memory,
+                                                       start_symbol=start))
+        assert_batch_matches_oracle(ys, cfgs)
+
+    def test_five_memory_3_streams_split_at_the_state_cap(self, monkeypatch):
+        loops = []
+        viterbi = adaptive._viterbi
+
+        def counted(ys, trellises):
+            loops.append(sum(cfg.n_states for cfg in trellises))
+            return viterbi(ys, trellises)
+
+        monkeypatch.setattr(adaptive, "_viterbi", counted)
+        rng = np.random.default_rng(3)
+        cfgs = [MlseConfig.partial_response(PAM4, 3) for _ in range(5)]
+        ys = [fir_stream(np.array([1.0, 1.0]), 700, rng, 0.5) for _ in cfgs]
+        assert_batch_matches_oracle(ys, cfgs)
+        assert loops == [adaptive.MLSE_BATCH_STATES, 64]
+
+    def test_unequal_lengths_rejected(self):
+        cfg = MlseConfig.partial_response(PAM4)
+        with pytest.raises(ValueError, match="equal lengths"):
+            mlse_detect_batch([np.zeros(10), np.zeros(11)], [cfg, cfg])
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from imddsim.sigproc import (
     raised_cosine_shape,
 )
 
+from batch_helpers import receive_blocks
 from spectral_helpers import average_psd
 
 
@@ -213,9 +214,8 @@ class TestReceive:
         chan = ChannelModel(name="awgn", noise=NoiseSpec(sigma=sigma), seed=77)
         errors = 0
         total = 0
-        for block in range(8):  # > 1e6 bits
-            rx = apply_channel(wave, chan, seed=1000 + block)
-            rx_bits = pam_receive(rx, PamRxConfig(n_ffe_taps=1), payload)
+        received = (apply_channel(wave, chan, seed=1000 + block) for block in range(8))  # > 1e6 bits
+        for rx_bits in receive_blocks(received, PamRxConfig(n_ffe_taps=1), payload):
             errors += int(np.sum(rx_bits != payload_bits))
             total += payload_bits.size
         ber = errors / total
