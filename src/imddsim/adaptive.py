@@ -53,12 +53,6 @@ class FfeTaps:
         phases = np.exp(-2j * np.pi * np.outer(freqs, n) / sample_rate)
         return phases @ self.coefficients
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("index,coefficient\n")
-            for i, c in enumerate(self.coefficients):
-                fh.write(f"{i - len(self) // 2},{c:.12g}\n")
-
 
 # ---------------------------------------------------------------------------
 # LMS feedforward equalizer

@@ -213,6 +213,11 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append(f"channel.preset: unknown preset {cfg.preset!r}{suffix}")
     if cfg.fft_length < 4 or cfg.fft_length & (cfg.fft_length - 1):
         errors.append(f"dmt.fft_length: not a power of two ({cfg.fft_length})")
+    elif (cfg.cp_fraction * cfg.fft_length).denominator != 1:
+        errors.append(f"dmt.cp_fraction: {cfg.cp_fraction} of fft_length {cfg.fft_length} "
+                      "is not a whole number of samples")
+    if cfg.cp_fraction < 0:
+        errors.append(f"dmt.cp_fraction: must be >= 0, got {cfg.cp_fraction}")
     if cfg.seed < 0:
         errors.append(f"experiment.seed: must be >= 0, got {cfg.seed}")
     for key, value in (("experiment.blocks", cfg.blocks), ("dmt.frames", cfg.frames),
@@ -275,8 +280,8 @@ def point_configs(cfg: ExperimentConfig) -> list[tuple[tuple, ExperimentConfig]]
 def build_experiment(cfg: ExperimentConfig):
     channel = make_channel(cfg.preset, voa_db=cfg.voa_db, seed=cfg.seed, snr_db=cfg.snr_db)
     if cfg.format == "dmt":
-        dmt_cfg = DmtConfig.for_fft_length(
-            cfg.fft_length,
+        dmt_cfg = DmtConfig(
+            fft_length=cfg.fft_length,
             cp_fraction=cfg.cp_fraction,
             data_symbols_per_frame=cfg.data_symbols,
             training_symbols=cfg.training_symbols,
@@ -321,27 +326,29 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     result = run_sweep(experiments, spec, jobs=jobs)
 
     if len(names) == 2:
-        _write_csv(out / "sweep_grid.csv", names,
-                   [[_fmt(v) for v in values] for values, _ in points], result.points)
+        _write_csv(out / "sweep_grid.csv", _result_rows(
+            names, [[_fmt(v) for v in values] for values, _ in points], result.points))
     else:
-        _write_csv(out / "ber_vs_rop.csv", [names[0], "rop_dbm"],
-                   [[_fmt(values[0]), f"{_rop_dbm(point):.6g}"] for values, point in points],
-                   result.points)
+        _write_csv(out / "ber_vs_rop.csv", _result_rows(
+            [names[0], "rop_dbm"],
+            [[_fmt(values[0]), f"{_rop_dbm(point):.6g}"] for values, point in points],
+            result.points))
 
     # the loading table, the pre-emphasis taps and the latency budget are
     # those of the first point
     experiment = experiments[0]
     if cfg.format == "dmt":
         try:
-            experiment.loading().to_csv(out / "loading_table.csv")
+            loading = experiment.loading()
         except (LoadingError, SyncError) as exc:
             print(f"note: no loading_table.csv ({type(exc).__name__}: {exc})", file=sys.stderr)
+        else:
+            _write_csv(out / "loading_table.csv", _loading_rows(loading))
     else:
-        from .adaptive import FfeTaps
-
         taps = experiment.resolve_tx().pre_emphasis_taps
-        if taps is not None:
-            FfeTaps(np.asarray(taps)).to_csv(out / "taps.csv")
+        if taps is not None:  # indices relative to the center tap
+            _write_csv(out / "taps.csv", [["index", "coefficient"]] + [
+                [str(i - len(taps) // 2), f"{c:.12g}"] for i, c in enumerate(taps)])
 
     budget = _latency_for(points[0][1])
     (out / "latency.txt").write_text(budget.summary() + "\n")
@@ -359,32 +366,49 @@ def _rop_dbm(cfg: ExperimentConfig) -> float:
     return make_channel(cfg.preset, voa_db=cfg.voa_db).rop_dbm
 
 
-def _write_csv(path, names, leads, points) -> None:
-    """Long-format CSV: each point's leading cells under `names` (dots
-    become underscores), then its error count, bit total, BER, FEC
-    verdicts and Wilson interval, or its error."""
-    header = [name.replace(".", "_") for name in names] + [
-        "bit_errors", "bits_total", "ber", "kp4_pass", "cibch_pass",
-        "wilson_low", "wilson_high", "error"]
+def _write_csv(path, rows) -> None:
+    """The one artifact CSV writer: a line of comma-separated text cells
+    per row, the header row first."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for cells, point in zip(leads, points):
-            r = point.report
-            if r is not None:
-                cells = cells + [str(r.bit_errors), str(r.bits_total), f"{r.ber:.6e}",
-                                 str(int(r.threshold_results["kp4"])),
-                                 str(int(r.threshold_results["cibch"])),
-                                 f"{r.confidence[0]:.6e}", f"{r.confidence[1]:.6e}", ""]
-            else:
-                cells = cells + [""] * 7 + [point.error]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in rows)
+
+
+def _result_rows(names, leads, points) -> list[list[str]]:
+    """The header and point rows of a long-format result CSV: each point's
+    leading cells under `names` (dots become underscores), then its error
+    count, bit total, BER, FEC verdicts and Wilson interval, or its error."""
+    rows = [[name.replace(".", "_") for name in names] + [
+        "bit_errors", "bits_total", "ber", "kp4_pass", "cibch_pass",
+        "wilson_low", "wilson_high", "error"]]
+    for cells, point in zip(leads, points):
+        r = point.report
+        if r is None:
+            rows.append(cells + [""] * 7 + [point.error])
+            continue
+        rows.append(cells + [str(r.bit_errors), str(r.bits_total), f"{r.ber:.6e}",
+                             str(int(r.threshold_results["kp4"])),
+                             str(int(r.threshold_results["cibch"])),
+                             f"{r.confidence[0]:.6e}", f"{r.confidence[1]:.6e}", ""])
+    return rows
+
+
+def _loading_rows(loading) -> list[list[str]]:
+    """The header and carrier rows of a loading table: each carrier's
+    index from 1, bits and power in dB."""
+    rows = [["carrier", "bits", "power_db"]]
+    for i, (b, p) in enumerate(zip(loading.bits, loading.power), start=1):
+        power_db = 10.0 * np.log10(p) if p > 0 else float("-inf")
+        rows.append([str(i), str(b), f"{power_db:.6g}"])
+    return rows
 
 
 def _write_summary(cfg, names, points, result, budget, path) -> None:
+    # a swept VOA has no one value; each point line gives its own
+    voa = "" if "channel.voa_db" in names else f" (voa {cfg.voa_db:g} dB)"
     lines = [
         f"format: {cfg.format}",
         f"bit rate: {cfg.bit_rate / 1e9:g} Gb/s",
-        f"channel preset: {cfg.preset} (voa {cfg.voa_db:g} dB)",
+        f"channel preset: {cfg.preset}{voa}",
         f"blocks per point: {result.spec.blocks}, base seed {result.spec.base_seed}",
         "",
         "points:",

@@ -5,7 +5,7 @@ equalizer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,6 +24,13 @@ EQ_STEP = 1e-3
 
 DMT_SAMPLE_RATE = 84e9
 """DAC and ADC rate of the DMT chain: the one 84 GS/s converter pair."""
+
+CHOW_GAP_DB = 9.8
+"""SNR gap of :func:`chow_bit_loading` (uncoded QAM)."""
+
+CHOW_MARGIN_FLOOR_DB = -12.0
+"""Lowest margin :func:`chow_bit_loading` tries before a target counts as
+infeasible."""
 
 
 class SyncError(RuntimeError):
@@ -44,14 +51,13 @@ class LoadingError(RuntimeError):
 
 @dataclass(frozen=True)
 class DmtConfig:
-    """DMT system parameters (defaults follow the 112 Gb/s setup)."""
+    """DMT system parameters (defaults follow the 112 Gb/s setup).  The
+    carrier plan follows from the FFT length."""
 
     fft_length: int = 512
     cp_fraction: Fraction = Fraction(1, 64)
     data_symbols_per_frame: int = 124
     training_symbols: int = 4
-    usable_carriers: int = 255
-    max_loaded_carriers: int = 242
     clipping_ratio_db: float | None = 10.0
     target_bit_rate: float = 112e9
 
@@ -61,25 +67,21 @@ class DmtConfig:
             raise ValueError(f"FFT length must be a power of two, got {n}")
         if not isinstance(self.cp_fraction, Fraction):
             object.__setattr__(self, "cp_fraction", Fraction(self.cp_fraction).limit_denominator(4096))
+        if self.cp_fraction < 0:
+            raise ValueError(f"cp_fraction must be >= 0, got {self.cp_fraction}")
         if (self.cp_fraction * n).denominator != 1:
             raise ValueError("cp_fraction * fft_length must be an integer sample count")
-        if self.usable_carriers > n // 2 - 1:
-            raise ValueError("usable carriers cannot exceed fft_length/2 - 1")
-        if self.max_loaded_carriers > self.usable_carriers:
-            raise ValueError("max loaded carriers cannot exceed usable carriers")
 
-    @classmethod
-    def for_fft_length(cls, fft_length: int, **kwargs) -> "DmtConfig":
-        """Scale the carrier bookkeeping of the 512-point setup to another
-        FFT length (same occupied bandwidth)."""
-        usable = fft_length // 2 - 1
-        max_loaded = min(usable, fft_length * 242 // 512)
-        return cls(
-            fft_length=fft_length,
-            usable_carriers=usable,
-            max_loaded_carriers=max_loaded,
-            **kwargs,
-        )
+    @property
+    def usable_carriers(self) -> int:
+        """Carriers 1 .. N/2 - 1: every bin but DC and Nyquist."""
+        return self.fft_length // 2 - 1
+
+    @property
+    def max_loaded_carriers(self) -> int:
+        """The 242 loaded carriers of the 512-point setup, scaled to N (the
+        same occupied bandwidth)."""
+        return min(self.usable_carriers, self.fft_length * 242 // 512)
 
     @property
     def cp_length(self) -> int:
@@ -130,14 +132,6 @@ class LoadingTable:
     def total_bits(self) -> int:
         return int(self.bits.sum())
 
-    def to_csv(self, path) -> None:
-        """Plain-text columns: carrier index, bits, power in dB."""
-        with open(path, "w", newline="") as fh:
-            fh.write("carrier,bits,power_db\n")
-            for i, (b, p) in enumerate(zip(self.bits, self.power), start=1):
-                power_db = 10.0 * np.log10(p) if p > 0 else float("-inf")
-                fh.write(f"{i},{b},{power_db:.6g}\n")
-
 
 @dataclass(frozen=True, eq=False)
 class SnrProfile:
@@ -151,9 +145,6 @@ class SnrProfile:
             raise ValueError("SNR estimates must not be NaN")
         snr.setflags(write=False)
         object.__setattr__(self, "snr_db", snr)
-
-    def carrier_frequencies(self, cfg: DmtConfig) -> np.ndarray:
-        return np.arange(1, self.snr_db.size + 1) * DMT_SAMPLE_RATE / cfg.fft_length
 
 
 # ---------------------------------------------------------------------------
@@ -283,31 +274,31 @@ def _bits_at_margin(snr_lin: np.ndarray, gap_lin: float, margin_lin: float, allo
     return np.clip(np.rint(exact), 0, allowed_max).astype(np.int64)
 
 
-def chow_bit_loading(
-    snr: SnrProfile, target_bits: int, cfg: DmtConfig, gap_db: float = 9.8,
-    margin_floor_db: float = -12.0,
-) -> LoadingTable:
-    """Margin-adaptive bit loading.
+def chow_bit_loading(snr: SnrProfile, target_bits: int, max_loaded: int) -> LoadingTable:
+    """Margin-adaptive bit loading on the first `max_loaded` carriers (the
+    rest stay empty).
 
-    Rounds log2(1 + SNR/(gap*margin)) per carrier, bisects the margin (0.01
-    dB resolution) until the bit total brackets the target, then applies
-    greedy one-bit adjustments on the carriers closest to their rounding
-    boundary so the total is hit exactly.  Uniform unit power on active
-    carriers; run :func:`cioffi_power_loading` afterwards.
+    Rounds log2(1 + SNR/(gap*margin)) per carrier at the gap `CHOW_GAP_DB`,
+    bisects the margin (0.01 dB resolution) until the bit total brackets
+    the target, then applies greedy one-bit adjustments on the carriers
+    closest to their rounding boundary so the total is hit exactly.
+    Uniform unit power on active carriers; run
+    :func:`cioffi_power_loading` afterwards.
 
-    Targets that stay unreachable even at `margin_floor_db` of negative
-    margin raise :class:`LoadingError` carrying the achievable maximum.
+    Targets that stay unreachable even at `CHOW_MARGIN_FLOOR_DB` of
+    negative margin raise :class:`LoadingError` carrying the achievable
+    maximum.
     """
     snr_lin = 10.0 ** (snr.snr_db / 10.0)
     eligible = np.zeros(snr_lin.size, dtype=bool)
-    eligible[: cfg.max_loaded_carriers] = True
+    eligible[:max_loaded] = True
     snr_lin = np.where(eligible, snr_lin, 0.0)
-    gap_lin = 10.0 ** (gap_db / 10.0)
+    gap_lin = 10.0 ** (CHOW_GAP_DB / 10.0)
 
     def bits_for(margin_db: float) -> np.ndarray:
         return _bits_at_margin(snr_lin, gap_lin, 10.0 ** (margin_db / 10.0), 6)
 
-    lo, hi = margin_floor_db, 100.0
+    lo, hi = CHOW_MARGIN_FLOOR_DB, 100.0
     max_total = int(bits_for(lo).sum())
     if target_bits > max_total:
         raise LoadingError(target_bits, max_total)
@@ -400,8 +391,8 @@ def _hermitian_time_symbols(carriers: np.ndarray, cfg: DmtConfig) -> np.ndarray:
 
 def _with_prefix(time_sym: np.ndarray, cfg: DmtConfig) -> np.ndarray:
     """Time-domain symbols (n_symbols, fft_length), each behind its cyclic
-    prefix, as one waveform."""
-    return np.concatenate([time_sym[:, -cfg.cp_length :], time_sym], axis=1).reshape(-1)
+    prefix (none when `cp_length` is 0), as one waveform."""
+    return np.concatenate([time_sym[:, cfg.fft_length - cfg.cp_length :], time_sym], axis=1).reshape(-1)
 
 
 def _received_carriers(aligned: np.ndarray, cfg: DmtConfig) -> np.ndarray:
@@ -446,8 +437,6 @@ def dmt_modulate(bits: np.ndarray, loading: LoadingTable, cfg: DmtConfig) -> Sam
     IFFT, cyclic prefix, RMS normalization and clipping."""
     if loading.bits.size != cfg.usable_carriers:
         raise ValueError("loading table length must equal the usable carrier count")
-    if np.any(loading.bits[cfg.max_loaded_carriers :] > 0):
-        raise ValueError("carriers beyond the max-loaded limit must stay empty")
     data = map_frame_bits(bits, loading, cfg)
     carriers = np.vstack([training_symbols(loading, cfg), data])
     wave = _with_prefix(_hermitian_time_symbols(carriers, cfg), cfg)
@@ -458,13 +447,10 @@ def dmt_modulate(bits: np.ndarray, loading: LoadingTable, cfg: DmtConfig) -> Sam
     return out
 
 
-@lru_cache(maxsize=32)
 def _training_template(loading: LoadingTable, cfg: DmtConfig) -> np.ndarray:
     """The training symbols with their cyclic prefixes as one waveform:
-    the sync correlation template (cached per table and config)."""
-    template = _with_prefix(_hermitian_time_symbols(training_symbols(loading, cfg), cfg), cfg)
-    template.setflags(write=False)
-    return template
+    the sync correlation template."""
+    return _with_prefix(_hermitian_time_symbols(training_symbols(loading, cfg), cfg), cfg)
 
 
 @lru_cache(maxsize=2)
@@ -569,8 +555,7 @@ def probe_bits(cfg: DmtConfig) -> np.ndarray:
 
 def make_probe_frame(cfg: DmtConfig) -> SampleBuffer:
     """The known uniform-16-QAM probe frame used for SNR estimation."""
-    probe_cfg = replace(cfg, max_loaded_carriers=cfg.usable_carriers)
-    return dmt_modulate(probe_bits(cfg), probe_loading(cfg), probe_cfg)
+    return dmt_modulate(probe_bits(cfg), probe_loading(cfg), cfg)
 
 
 def estimate_snr(rx: SampleBuffer, cfg: DmtConfig) -> SnrProfile:

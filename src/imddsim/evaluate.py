@@ -183,17 +183,13 @@ class DmtExperiment:
 
 
 @lru_cache(maxsize=32)
-def _dmt_snr(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.SnrProfile:
+def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.LoadingTable:
+    """Chow bit and Cioffi power loading on the SNR that the probe frame
+    measures through `channel` (cached per config and link)."""
     probe = dmt_mod.make_probe_frame(cfg)
     received = apply_channel(probe, channel, seed=channel.seed ^ 0x534E52)
-    return dmt_mod.estimate_snr(received, cfg)
-
-
-@lru_cache(maxsize=32)
-def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.LoadingTable:
-    snr = _dmt_snr(cfg, channel)
-    target = dmt_mod.rate_to_bits(cfg)
-    loading = dmt_mod.chow_bit_loading(snr, target, cfg)
+    snr = dmt_mod.estimate_snr(received, cfg)
+    loading = dmt_mod.chow_bit_loading(snr, dmt_mod.rate_to_bits(cfg), cfg.max_loaded_carriers)
     return dmt_mod.cioffi_power_loading(loading, snr)
 
 

@@ -112,7 +112,7 @@ def test_criterion_2_rate_arithmetic():
     bits = rate_to_bits(cfg)
     channel = make_channel("paper_b2b", seed=1)
     snr = estimate_snr(apply_channel(make_probe_frame(cfg), channel, seed=1), cfg)
-    loading = cioffi_power_loading(chow_bit_loading(snr, bits, cfg), snr)
+    loading = cioffi_power_loading(chow_bit_loading(snr, bits, cfg.max_loaded_carriers), snr)
     ok = bits == 716 and loading.total_bits == 716
     report(
         "criterion 2", "716 bits per DMT symbol, exact loading", ok,
@@ -340,7 +340,7 @@ def test_criterion_7e_dmt_fft_length_gains():
     bers = {}
     errs = {}
     for n in (256, 512, 2048):
-        cfg = DmtConfig.for_fft_length(n, clipping_ratio_db=10.0)
+        cfg = DmtConfig(fft_length=n, clipping_ratio_db=10.0)
         frame_bits = rate_to_bits(cfg) * cfg.data_symbols_per_frame
         frames = -(-1_000_000 // frame_bits)
         ber, errors, total = dmt_ber(cfg, chan, frames=frames, seed=7)

@@ -9,6 +9,8 @@ from imddsim.cli import (
     FORMATS,
     SWEEP_PARAMETERS,
     ConfigError,
+    _loading_rows,
+    _write_csv,
     build_experiment,
     list_presets,
     main,
@@ -147,7 +149,8 @@ fft_length = 300
          ("pam", "mlse_memory = -1"),
          ("dmt", "frames = 0"),
          ("dmt", "training_symbols = 0"),
-         ("dmt", "data_symbols = 0")],
+         ("dmt", "data_symbols = 0"),
+         ("dmt", "cp_fraction = -1/64")],
     )
     def test_out_of_range_value_rejected(self, tmp_path, capsys, section, line):
         key = f"{section}.{line.split(' = ')[0]}"
@@ -156,6 +159,23 @@ fft_length = 300
         path = write_cfg(tmp_path, text)
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {key}: must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cp_fraction, sweep, fft_length",
+        [("1/7", "", 512),
+         # 1/256 of 512 is 2 samples, of 128 half a sample
+         ("1/256", "\n[sweep]\nparameter = dmt.fft_length\nvalues = 512, 128\n", 128)],
+        ids=["fixed", "swept"],
+    )
+    def test_prefix_off_the_sample_grid_rejected(self, tmp_path, capsys, cp_fraction, sweep,
+                                                 fft_length):
+        text = f"[experiment]\nformat = dmt\n\n[dmt]\ncp_fraction = {cp_fraction}\n{sweep}"
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: dmt.cp_fraction: {cp_fraction} of fft_length {fft_length} "
+            "is not a whole number of samples\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("order", [5, 12])
@@ -194,7 +214,8 @@ SWEEP_VALUES = {
     "pam.tx_taps": ODD_TAPS,
     "pam.mlse_memory": st.integers(0, 4),
     "dmt.clipping_ratio_db": DECIBELS,
-    "dmt.fft_length": st.sampled_from([2**k for k in range(2, 13)]),
+    # from 64 up, so the default 1/64 prefix is a whole number of samples
+    "dmt.fft_length": st.sampled_from([2**k for k in range(6, 13)]),
 }
 
 
@@ -265,9 +286,11 @@ class TestRun:
         assert (out / "latency.txt").is_file()
         summary = (out / "summary.txt").read_text()
         assert "format: dmt" in summary and "rop" in summary
+        # the VOA is swept, so the header names no one VOA
+        assert summary.splitlines()[2] == "channel preset: paper_b2b"
         # the loading table is the first point's (VOA 2 dB), not the base VOA's
         first = build_experiment(point_configs(parse_config(cfg_path))[0][1])
-        first.loading().to_csv(tmp_path / "first_point.csv")
+        _write_csv(tmp_path / "first_point.csv", _loading_rows(first.loading()))
         assert (out / "loading_table.csv").read_bytes() == (tmp_path / "first_point.csv").read_bytes()
 
     def test_pam_tapgrid_artifacts(self, tmp_path):
@@ -340,6 +363,8 @@ payload_order = 7
         )
         assert (out / "loading_table.csv").read_text().splitlines()[0] == "carrier,bits,power_db"
         assert (out / "latency.txt").read_text().startswith("latency budget (best / worst):")
+        assert (out / "summary.txt").read_text().splitlines()[2] == (
+            "channel preset: paper_b2b (voa 0 dB)")
         pam_text = """
 [experiment]
 format = nyquist_pam4

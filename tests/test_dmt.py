@@ -27,6 +27,7 @@ from imddsim.dmt import (
     symbol_indices_to_bits,
     _hermitian_time_symbols,
 )
+from imddsim.cli import _loading_rows, _write_csv
 from imddsim.link import ChannelModel, FilterStage, NoiseSpec, apply_channel, apply_stages, make_channel
 from imddsim.sigproc import SampleBuffer
 
@@ -59,13 +60,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             DmtConfig(fft_length=500)
         with pytest.raises(ValueError):
-            DmtConfig(usable_carriers=256)
-        with pytest.raises(ValueError):
             DmtConfig(cp_fraction=Fraction(1, 7))
+        with pytest.raises(ValueError):
+            DmtConfig(cp_fraction=Fraction(-1, 64))
 
     def test_scaled_fft_lengths(self):
         for n in (256, 1024, 2048):
-            c = DmtConfig.for_fft_length(n)
+            c = DmtConfig(fft_length=n)
             assert c.usable_carriers == n // 2 - 1
             assert c.max_loaded_carriers == n * 242 // 512
 
@@ -104,26 +105,26 @@ class TestConstellations:
 
 class TestChowLoading:
     def test_flat_profile_uniform_bits(self, cfg, flat_snr):
-        loading = chow_bit_loading(flat_snr, 484, cfg)
+        loading = chow_bit_loading(flat_snr, 484, cfg.max_loaded_carriers)
         active = loading.bits[: cfg.max_loaded_carriers]
         assert loading.total_bits == 484
         assert set(np.unique(active)) <= {2} or np.ptp(active) <= 1
 
     def test_hits_target_exactly(self, cfg, flat_snr):
         for target in (716, 358, 100, 1):
-            assert chow_bit_loading(flat_snr, target, cfg).total_bits == target
+            assert chow_bit_loading(flat_snr, target, cfg.max_loaded_carriers).total_bits == target
 
     def test_infeasible_reports_achievable(self, cfg):
         snr = SnrProfile(np.full(255, -20.0))
         with pytest.raises(LoadingError) as err:
-            chow_bit_loading(snr, 716, cfg)
+            chow_bit_loading(snr, 716, cfg.max_loaded_carriers)
         assert err.value.achievable < 716
 
     def test_monotone_in_snr(self, cfg):
         rng = np.random.default_rng(3)
         for trial in range(5):
             snr = SnrProfile(rng.uniform(5, 35, 255))
-            loading = chow_bit_loading(snr, 500, cfg)
+            loading = chow_bit_loading(snr, 500, cfg.max_loaded_carriers)
             s = snr.snr_db[: cfg.max_loaded_carriers]
             b = loading.bits[: cfg.max_loaded_carriers]
             ii, jj = np.meshgrid(np.arange(s.size), np.arange(s.size), indexing="ij")
@@ -131,39 +132,38 @@ class TestChowLoading:
             assert np.all(b[ii][stronger] >= b[jj][stronger])
 
     def test_carriers_beyond_limit_stay_empty(self, cfg, flat_snr):
-        loading = chow_bit_loading(flat_snr, 716, cfg)
+        loading = chow_bit_loading(flat_snr, 716, cfg.max_loaded_carriers)
         assert np.all(loading.bits[cfg.max_loaded_carriers :] == 0)
 
     @settings(max_examples=40, deadline=None)
     @given(snr_db=st.lists(st.floats(-15.0, 60.0), min_size=1, max_size=40), data=st.data())
     def test_every_reachable_target_is_hit_exactly(self, snr_db, data):
         max_loaded = data.draw(st.integers(1, len(snr_db)))
-        cfg = DmtConfig(usable_carriers=len(snr_db), max_loaded_carriers=max_loaded)
         snr = SnrProfile(snr_db)
         # the most bits the carriers carry at the -12 dB margin floor
         gap, floor = 10.0 ** 0.98, 10.0 ** -1.2
         snr_lin = 10.0 ** (np.asarray(snr_db[:max_loaded]) / 10.0)
         maximum = int(np.clip(np.rint(np.log2(1.0 + snr_lin / (gap * floor))), 0, 6).sum())
         for target in range(1, maximum + 1):
-            bits = chow_bit_loading(snr, target, cfg).bits
+            bits = chow_bit_loading(snr, target, max_loaded).bits
             assert bits.sum() == target
             assert bits.min() >= 0 and bits.max() <= 6
             assert not bits[max_loaded:].any()
         with pytest.raises(LoadingError) as err:
-            chow_bit_loading(snr, maximum + 1, cfg)
+            chow_bit_loading(snr, maximum + 1, max_loaded)
         assert err.value.achievable == maximum
 
 
 class TestCioffiLoading:
     def test_uniform_case(self, cfg, flat_snr):
-        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 484, cfg), flat_snr)
+        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 484, cfg.max_loaded_carriers), flat_snr)
         active = loading.power[loading.bits > 0]
         assert np.ptp(active) / np.mean(active) < 1e-9
 
     def test_total_power_preserved(self, cfg):
         rng = np.random.default_rng(1)
         snr = SnrProfile(rng.uniform(12, 35, 255))
-        before = chow_bit_loading(snr, 600, cfg)
+        before = chow_bit_loading(snr, 600, cfg.max_loaded_carriers)
         after = cioffi_power_loading(before, snr)
         assert after.power.sum() == pytest.approx(before.power.sum(), abs=1e-9)
 
@@ -177,33 +177,44 @@ class TestCioffiLoading:
 
     def test_zero_bit_carriers_keep_zero_power(self, cfg):
         snr = SnrProfile(np.concatenate([np.full(100, 30.0), np.full(155, -10.0)]))
-        loading = cioffi_power_loading(chow_bit_loading(snr, 300, cfg), snr)
+        loading = cioffi_power_loading(chow_bit_loading(snr, 300, cfg.max_loaded_carriers), snr)
         assert np.all(loading.power[loading.bits == 0] == 0)
 
 
 class TestModem:
     def test_hermitian_symmetry_residue(self, cfg, flat_snr):
-        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg), flat_snr)
+        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg.max_loaded_carriers), flat_snr)
         carriers = training_symbols(loading, cfg)
         time_sym = _hermitian_time_symbols(carriers, cfg)
         assert np.isrealobj(time_sym)
 
     def test_frame_length(self, cfg, flat_snr):
-        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg), flat_snr)
+        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg.max_loaded_carriers), flat_snr)
         wave = dmt_modulate(make_bits(loading, cfg), loading, cfg)
         assert len(wave) == 128 * 520
         assert wave.sample_rate == pytest.approx(84e9)
 
     def test_loopback_zero_errors(self, cfg, flat_snr):
-        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg), flat_snr)
+        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg.max_loaded_carriers), flat_snr)
         bits = make_bits(loading, cfg)
         wave = dmt_modulate(bits, loading, cfg)
         rx_bits, evm = dmt_demodulate(wave, loading, cfg)
         assert np.array_equal(rx_bits, bits)
         assert np.max(evm[loading.bits > 0]) < 1e-3
 
+    def test_loopback_without_prefix(self, cfg, flat_snr):
+        # a zero prefix adds no samples: the frame is its bare symbols
+        bare = replace(cfg, cp_fraction=Fraction(0))
+        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, bare.max_loaded_carriers),
+                                       flat_snr)
+        bits = make_bits(loading, bare)
+        wave = dmt_modulate(bits, loading, bare)
+        assert len(wave) == 128 * 512
+        rx_bits, _ = dmt_demodulate(wave, loading, bare)
+        assert np.array_equal(rx_bits, bits)
+
     def test_flat_gain_phase_channel_removed_exactly(self, cfg, flat_snr):
-        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 300, cfg), flat_snr)
+        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 300, cfg.max_loaded_carriers), flat_snr)
         bits = make_bits(loading, cfg, seed=5)
         wave = dmt_modulate(bits, loading, cfg)
         scaled = SampleBuffer(0.43 * wave.samples, wave.sample_rate)
@@ -213,7 +224,7 @@ class TestModem:
 
     def test_dispersive_channel_within_cp(self, cfg, flat_snr):
         # causal FIR shorter than the prefix: one-tap equalization absorbs it
-        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 500, cfg), flat_snr)
+        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 500, cfg.max_loaded_carriers), flat_snr)
         bits = make_bits(loading, cfg, seed=7)
         wave = dmt_modulate(bits, loading, cfg)
         fir = FilterStage("disp", "fir", fir_taps=(1.0, 0.35, -0.2, 0.12, 0.05, -0.02),
@@ -233,7 +244,7 @@ class TestModem:
         est = estimate_snr(apply_channel(apply_stages(probe, (fir,)), chan, seed=3), cfg)
         flat = ChannelModel(name="flat", noise=NoiseSpec(sigma=sigma), seed=3)
         est_flat = estimate_snr(apply_channel(probe, flat, seed=3), cfg)
-        freqs = est.carrier_frequencies(cfg)
+        freqs = np.arange(1, est.snr_db.size + 1) * 84e9 / cfg.fft_length
         gain_db = 20 * np.log10(np.abs(fir.response(freqs)))
         predicted = est_flat.snr_db + gain_db
         sel = predicted < 55.0  # away from the estimator ceiling
@@ -243,14 +254,14 @@ class TestModem:
         assert np.max(np.abs(diff)) < 2.0
 
     def test_sync_failure_reported(self, cfg, flat_snr):
-        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg), flat_snr)
+        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg.max_loaded_carriers), flat_snr)
         rng = np.random.default_rng(0)
         junk = SampleBuffer(rng.normal(size=cfg.frame_length), 84e9)
         with pytest.raises(SyncError):
             dmt_demodulate(junk, loading, cfg)
 
     def test_bit_count_mismatch_rejected(self, cfg, flat_snr):
-        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg), flat_snr)
+        loading = cioffi_power_loading(chow_bit_loading(flat_snr, 716, cfg.max_loaded_carriers), flat_snr)
         with pytest.raises(ValueError):
             dmt_modulate(np.zeros(10, dtype=np.int64), loading, cfg)
 
@@ -279,7 +290,7 @@ class TestEstimateSnr:
     def test_modeled_channel_profile(self, cfg):
         chan = make_channel("paper_b2b", seed=1)
         est = estimate_snr(apply_channel(make_probe_frame(cfg), chan, seed=1), cfg)
-        freqs = est.carrier_frequencies(cfg)
+        freqs = np.arange(1, est.snr_db.size + 1) * 84e9 / cfg.fft_length
         s = est.snr_db
 
         def at(ghz):
@@ -303,9 +314,9 @@ class TestLoadingCsv:
     def test_round_trip(self, cfg, tmp_path):
         rng = np.random.default_rng(2)
         snr = SnrProfile(rng.uniform(10, 35, 255))
-        loading = cioffi_power_loading(chow_bit_loading(snr, 640, cfg), snr)
+        loading = cioffi_power_loading(chow_bit_loading(snr, 640, cfg.max_loaded_carriers), snr)
         path = tmp_path / "loading.csv"
-        loading.to_csv(path)
+        _write_csv(path, _loading_rows(loading))
         bits, power = read_loading_csv(path)
         np.testing.assert_array_equal(bits, loading.bits)
         np.testing.assert_allclose(power, loading.power, rtol=1e-5)
@@ -318,7 +329,7 @@ class TestLoadingCsv:
         bits, power = zip(*carriers)
         loading = LoadingTable(bits, power)
         path = tmp_path_factory.mktemp("loading") / "loading.csv"
-        loading.to_csv(path)
+        _write_csv(path, _loading_rows(loading))
         back_bits, back_power = read_loading_csv(path)
         np.testing.assert_array_equal(back_bits, loading.bits)
         active = loading.bits > 0

@@ -31,7 +31,7 @@ from imddsim.dmt import (
     symbol_indices_to_bits,
     training_symbols,
 )
-from imddsim.evaluate import DmtExperiment, _dmt_loading, _dmt_snr, count_ber
+from imddsim.evaluate import DmtExperiment, _dmt_loading, count_ber
 from imddsim.link import apply_channel, make_channel
 from imddsim.sigproc import SampleBuffer, fft_pow2
 
@@ -173,7 +173,7 @@ class TestSlicer:
 
 @pytest.fixture(scope="module", params=[256, 2048])
 def noisy_frame(request):
-    exp = DmtExperiment(cfg=DmtConfig.for_fft_length(request.param),
+    exp = DmtExperiment(cfg=DmtConfig(fft_length=request.param),
                         channel=make_channel("paper_10km", voa_db=3.8, seed=3), frames=1)
     loading, cfg = exp.loading(), exp.cfg
     bits = np.random.default_rng(5).integers(0, 2, cfg.data_symbols_per_frame * loading.total_bits)
@@ -232,10 +232,9 @@ class TestReceiverParity:
 
 
 def test_probe_template_spectrum_built_once_per_config():
-    cfg = DmtConfig.for_fft_length(256)
+    cfg = DmtConfig(fft_length=256)
     assert probe_loading(cfg) is probe_loading(cfg)
     # both points must estimate their SNR on the probe frame
-    _dmt_snr.cache_clear()
     _dmt_loading.cache_clear()
     _template_spectrum.cache_clear()
     for voa_db in (2.8, 3.8):
@@ -248,7 +247,7 @@ def test_probe_template_spectrum_built_once_per_config():
 @pytest.mark.parametrize("fft_length, n_bits, errors", [(256, 44392, 13), (2048, 355012, 33)])
 def test_golden_block_errors(fft_length, n_bits, errors):
     # recorded with the radix-2 FFT and the per-carrier argmin demapper
-    exp = DmtExperiment(cfg=DmtConfig.for_fft_length(fft_length),
+    exp = DmtExperiment(cfg=DmtConfig(fft_length=fft_length),
                         channel=make_channel("paper_10km", voa_db=2.8, seed=3), frames=1)
     tx_bits, rx_bits = exp.run_block(seed=11)
     assert tx_bits.size == n_bits

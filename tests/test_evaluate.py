@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from imddsim.cli import _fmt, _write_csv
+from imddsim.cli import _fmt, _result_rows, _write_csv
 from imddsim.dmt import DmtConfig
 from imddsim.evaluate import (
     BerReport,
@@ -102,8 +102,8 @@ class TestSweeps:
         for run in range(2):
             result = run_sweep(experiments, spec)
             path = tmp_path / f"sweep{run}.csv"
-            _write_csv(path, ["channel.noise.snr_db"],
-                       [[_fmt(snr)] for snr in spec.values], result.points)
+            _write_csv(path, _result_rows(["channel.noise.snr_db"],
+                                          [[_fmt(snr)] for snr in spec.values], result.points))
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
@@ -123,8 +123,9 @@ class TestSweeps:
         ]
         result = run_sweep(experiments, spec)
         path = tmp_path / "grid.csv"
-        _write_csv(path, ["rx.n_ffe_taps", "channel.noise.snr_db"],
-                   [[_fmt(v) for v in values] for values in spec.values], result.points)
+        _write_csv(path, _result_rows(["rx.n_ffe_taps", "channel.noise.snr_db"],
+                                      [[_fmt(v) for v in values] for values in spec.values],
+                                      result.points))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("rx_n_ffe_taps,channel_noise_snr_db,")
         assert len(lines) == 5
