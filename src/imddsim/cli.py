@@ -323,16 +323,16 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     spec = SweepSpec(values=tuple(values for values, _ in points), blocks=cfg.blocks,
                      base_seed=cfg.seed)
     experiments = [build_experiment(point) for _, point in points]
-    result = run_sweep(experiments, spec, jobs=jobs)
+    results = run_sweep(experiments, spec, jobs=jobs)
 
     if len(names) == 2:
         _write_csv(out / "sweep_grid.csv", _result_rows(
-            names, [[_fmt(v) for v in values] for values, _ in points], result.points))
+            names, [[_fmt(v) for v in values] for values, _ in points], results))
     else:
         _write_csv(out / "ber_vs_rop.csv", _result_rows(
             [names[0], "rop_dbm"],
             [[_fmt(values[0]), f"{_rop_dbm(point):.6g}"] for values, point in points],
-            result.points))
+            results))
 
     # the loading table, the pre-emphasis taps and the latency budget are
     # those of the first point
@@ -352,9 +352,9 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
 
     budget = _latency_for(points[0][1])
     (out / "latency.txt").write_text(budget.summary() + "\n")
-    _write_summary(cfg, names, points, result, budget, out / "summary.txt")
+    _write_summary(cfg, names, points, results, budget, out / "summary.txt")
 
-    failed = [p for p in result.points if p.report is None]
+    failed = [p for p in results if p.report is None]
     if failed:
         for point in failed:
             print(f"point {point.values}: {point.error}", file=sys.stderr)
@@ -402,18 +402,18 @@ def _loading_rows(loading) -> list[list[str]]:
     return rows
 
 
-def _write_summary(cfg, names, points, result, budget, path) -> None:
+def _write_summary(cfg, names, points, results, budget, path) -> None:
     # a swept VOA has no one value; each point line gives its own
     voa = "" if "channel.voa_db" in names else f" (voa {cfg.voa_db:g} dB)"
     lines = [
         f"format: {cfg.format}",
         f"bit rate: {cfg.bit_rate / 1e9:g} Gb/s",
         f"channel preset: {cfg.preset}{voa}",
-        f"blocks per point: {result.spec.blocks}, base seed {result.spec.base_seed}",
+        f"blocks per point: {cfg.blocks}, base seed {cfg.seed}",
         "",
         "points:",
     ]
-    for (values, point_cfg), point in zip(points, result.points):
+    for (values, point_cfg), point in zip(points, results):
         label = ", ".join(f"{n}={v}" for n, v in zip(names, values))
         if point.report is None:
             lines.append(f"  {label}: FAILED ({point.error})")
@@ -452,6 +452,9 @@ def main(argv=None) -> int:
     if args.config is None:
         parser.print_usage(sys.stderr)
         print("error: --config is required unless --list-presets", file=sys.stderr)
+        return 1
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 1
     overrides = {name: value for name, value in (("seed", args.seed), ("preset", args.preset))
                  if value is not None}

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
-from . import adaptive
 from . import dmt as dmt_mod
 from . import link as link_mod
 from . import pam as pam_mod
@@ -164,7 +164,11 @@ class DmtExperiment:
         return "dmt"
 
     def loading(self) -> dmt_mod.LoadingTable:
-        return _dmt_loading(self.cfg, self.channel)
+        loading = _dmt_loading(self.cfg, self.channel)
+        if isinstance(loading, Exception):
+            # a fresh traceback each time, not one that grows with each raise
+            raise loading.with_traceback(None)
+        return loading
 
     def run_block(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         loading = self.loading()
@@ -183,13 +187,17 @@ class DmtExperiment:
 
 
 @lru_cache(maxsize=32)
-def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.LoadingTable:
+def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.LoadingTable | Exception:
     """Chow bit and Cioffi power loading on the SNR that the probe frame
-    measures through `channel` (cached per config and link)."""
-    probe = dmt_mod.make_probe_frame(cfg)
-    received = apply_channel(probe, channel, seed=channel.seed ^ 0x534E52)
-    snr = dmt_mod.estimate_snr(received, cfg)
-    loading = dmt_mod.chow_bit_loading(snr, dmt_mod.rate_to_bits(cfg), cfg.max_loaded_carriers)
+    measures through `channel`, or the SyncError or LoadingError that
+    stopped it (cached per config and link, so a failed point probes once)."""
+    try:
+        probe = dmt_mod.make_probe_frame(cfg)
+        received = apply_channel(probe, channel, seed=channel.seed ^ 0x534E52)
+        snr = dmt_mod.estimate_snr(received, cfg)
+        loading = dmt_mod.chow_bit_loading(snr, dmt_mod.rate_to_bits(cfg), cfg.max_loaded_carriers)
+    except (dmt_mod.SyncError, dmt_mod.LoadingError) as exc:
+        return exc
     return dmt_mod.cioffi_power_loading(loading, snr)
 
 
@@ -225,12 +233,6 @@ class SweepPoint:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    spec: SweepSpec
-    points: tuple[SweepPoint, ...]
-
-
 BATCH_STREAMS = 8
 """Most PAM blocks that equalize in one batched LMS.  A larger group runs
 as several batches, so a sweep's peak memory does not grow with its size."""
@@ -243,9 +245,9 @@ def run_blocks(pairs) -> list[BerReport | Exception]:
     Each pair gets what ``count_ber(*experiment.run_block(seed))`` returns
     or raises.  The PAM blocks with the same FFE length, payload and format
     run as one group, `BATCH_STREAMS` at a time: every block's receive
-    front end, one :func:`adaptive.lms_equalize_batch`, one
-    :func:`pam.pam_back_end`, whose MLSE blocks share one Viterbi time
-    loop.  Other experiments run their blocks one by one.
+    front end, then one :func:`pam.pam_back_end`, whose blocks share one
+    batched FFE and whose MLSE blocks share one Viterbi time loop.  Other
+    experiments run their blocks one by one.
     """
     outcomes: list = [None] * len(pairs)
     # (FFE length, payload order, partial response) -> indices of its pairs
@@ -268,7 +270,9 @@ def run_blocks(pairs) -> list[BerReport | Exception]:
 
 def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
     """Run the PAM blocks `pairs[i]` for i in `members`, which share one
-    FFE length, payload and format, into `outcomes[i]`."""
+    FFE length, payload and format, into `outcomes[i]`: each block's
+    transmit, channel and receive front end, then one
+    :func:`pam.pam_back_end` for the blocks whose front end ran."""
     first = pairs[members[0]][0]
     payload = _payload(first.payload_order)
     reference = pam_mod.ffe_reference(payload, first.rx)
@@ -282,24 +286,9 @@ def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
             running.append(i)
         except Exception as exc:  # a failed block is recorded, the others run on
             outcomes[i] = exc
-    try:
-        equalized = adaptive.lms_equalize_batch(fronts, reference, first.rx.n_ffe_taps)
-    except Exception as exc:  # an even FFE length: lms_equalize raises it per block
-        equalized = [exc] * len(running)
-    del fronts  # free the front-end outputs
-    streams = []
-    for i, eq in zip(running, equalized):
-        if isinstance(eq, Exception):
-            outcomes[i] = eq
-        else:
-            streams.append((i, eq.output))
-    try:
-        received = pam_mod.pam_back_end([output for _, output in streams],
-                                        [pairs[i][0].rx for i, _ in streams], payload)
-    except Exception as exc:  # the batch's MLSE failed: so does each block
-        received = [exc] * len(streams)
     bits = pam_mod.pam4_demap(payload.indices)
-    for (i, _), rx_bits in zip(streams, received):
+    cfgs = [pairs[i][0].rx for i in running]
+    for i, rx_bits in zip(running, pam_mod.pam_back_end(fronts, cfgs, payload)):
         outcomes[i] = rx_bits if isinstance(rx_bits, Exception) else count_ber(bits, rx_bits)
 
 
@@ -329,35 +318,29 @@ def run_point(experiment, spec: SweepSpec, index: int) -> SweepPoint:
     return _run_points([experiment], spec, [index])[0]
 
 
-def run_sweep(experiments, spec: SweepSpec, jobs: int = 1) -> SweepResult:
+def run_sweep(experiments, spec: SweepSpec, jobs: int = 1) -> tuple[SweepPoint, ...]:
     """Run the full transmit-channel-receive-count pipeline per point,
-    `experiments[i]` for point i of `spec`.
+    `experiments[i]` for point i of `spec`; one SweepPoint per point.
 
     Deterministic under the per-point seed policy regardless of `jobs`; point
     failures are recorded and the sweep continues.  With one job, the
     blocks of every PAM point go through one :func:`run_blocks`, so
     blocks of different points share a batched equalizer; with more, each
-    worker runs whole points.
+    worker runs whole points, on at most one worker per point.
     """
     if len(experiments) != len(spec.values):
         raise ValueError(f"{len(experiments)} experiments for {len(spec.values)} sweep points")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_run_point_star,
-                                   ((e, spec, i) for i, e in enumerate(experiments))))
-    elif all(isinstance(e, PamExperiment) for e in experiments):
-        points = _run_points(experiments, spec, range(len(experiments)))
-    else:
-        # DMT blocks have no equalizer to share; point by point keeps the
-        # run_point spans that perfbench's trace reads
-        points = [run_point(e, spec, i) for i, e in enumerate(experiments)]
-    return SweepResult(spec, tuple(points))
-
-
-def _run_point_star(args):
-    return run_point(*args)
+        # the pool starts all its workers at once: no more than there are points
+        with ProcessPoolExecutor(max_workers=min(jobs, len(experiments))) as pool:
+            return tuple(pool.map(run_point, experiments, repeat(spec), range(len(experiments))))
+    if all(isinstance(e, PamExperiment) for e in experiments):
+        return tuple(_run_points(experiments, spec, range(len(experiments))))
+    # DMT blocks have no equalizer to share; point by point keeps the
+    # run_point spans that perfbench's trace reads
+    return tuple(run_point(e, spec, i) for i, e in enumerate(experiments))
 
 
 # ---------------------------------------------------------------------------

@@ -228,20 +228,15 @@ def _alignment_lag(stream: np.ndarray, reference: np.ndarray) -> int:
 
 
 def pam_receive(signal: SampleBuffer, cfg: PamRxConfig, payload: SymbolSequence) -> np.ndarray:
-    """Full receive chain back to bits.
-
-    resample to 2 samples/symbol -> Gardner phase correction -> decimate to
-    the symbol rate -> align to the known payload -> LMS FFE (data-aided
-    then decision-directed) -> hard decision or MLSE -> demap.
+    """Full receive chain back to bits: :func:`pam_front_end`, then
+    :func:`pam_back_end` of this one block.
 
     `payload` is the transmitted PAM4 sequence (before any partial-response
     encoding).  Equalizer divergence and alignment failures raise rather
     than returning garbage bits.
     """
-    reference = ffe_reference(payload, cfg)
-    at_symbols = pam_front_end(signal, cfg, reference)
-    eq = adaptive.lms_equalize(at_symbols, reference, cfg.n_ffe_taps)
-    (rx_bits,) = pam_back_end([eq.output], [cfg], payload)
+    front = pam_front_end(signal, cfg, ffe_reference(payload, cfg))
+    (rx_bits,) = pam_back_end([front], [cfg], payload)
     if isinstance(rx_bits, Exception):
         raise rx_bits
     return rx_bits
@@ -267,35 +262,50 @@ def pam_front_end(signal: SampleBuffer, cfg: PamRxConfig, reference: SymbolSeque
 
 
 def pam_back_end(
-    equalized: list[np.ndarray],
+    fronts: list[np.ndarray],
     cfgs: list[PamRxConfig],
     payload: SymbolSequence,
 ) -> list[np.ndarray | Exception]:
-    """The receive chain after the FFE for a batch of equalized blocks of
-    `payload`, block b received with ``cfgs[b]``: hard decision or MLSE,
-    then demap.
+    """The receive chain from the FFE on for a batch of :func:`pam_front_end`
+    outputs of `payload`, block b received with ``cfgs[b]``: one LMS FFE
+    (data-aided then decision-directed) over the batch, each block's hard
+    decision or MLSE, then demap.
 
-    Each block gets its bits, or the ValueError that building its trellis
-    raised (a memory shorter than the channel's, say).  Every MLSE block
-    of the batch, each on its own trellis, goes through one
-    :func:`adaptive.mlse_detect_batch`.
+    The blocks share one FFE length and format.  Each gets its bits or its
+    exception: every block the ValueError of an even FFE length, a
+    diverged block its EqualizerDivergence, a block whose trellis cannot
+    be built (a memory shorter than the channel's, say) that ValueError.
+    Every MLSE block, each on its own trellis, goes through one
+    :func:`adaptive.mlse_detect_batch`.  `fronts` is emptied once
+    equalized, so the front-end outputs are freed before the trellis runs.
     """
+    if not fronts:
+        return []
+    reference = ffe_reference(payload, cfgs[0])
+    try:
+        equalized = adaptive.lms_equalize_batch(fronts, reference, cfgs[0].n_ffe_taps)
+    except ValueError as exc:  # an even FFE length fails every block alike
+        return [exc] * len(fronts)
+    fronts.clear()
     alphabet = np.asarray(PAM4_LEVELS)
     mids = (alphabet[1:] + alphabet[:-1]) / 2.0
-    indices: list = [None] * len(equalized)
+    # each block's symbol indices, or its exception
+    indices: list = [eq if isinstance(eq, Exception) else None for eq in equalized]
     mlse_blocks = []
     trellises = []
-    for b, (output, cfg) in enumerate(zip(equalized, cfgs)):
+    for b, (eq, cfg) in enumerate(zip(equalized, cfgs)):
+        if indices[b] is not None:
+            continue
         if cfg.mlse_memory is None:
-            indices[b] = np.searchsorted(mids, output)
+            indices[b] = np.searchsorted(mids, eq.output)
             continue
         try:
-            trellises.append(_trellis(output, cfg, payload))
+            trellises.append(_trellis(eq.output, cfg, payload))
         except ValueError as exc:  # this block fails, the others run on
             indices[b] = exc
             continue
         mlse_blocks.append(b)
-    detected = adaptive.mlse_detect_batch([equalized[b] for b in mlse_blocks], trellises)
+    detected = adaptive.mlse_detect_batch([equalized[b].output for b in mlse_blocks], trellises)
     for b, sequence in zip(mlse_blocks, detected):
         indices[b] = sequence.indices
     return [i if isinstance(i, Exception) else pam4_demap(i) for i in indices]

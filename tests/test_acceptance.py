@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batch_helpers import receive_blocks
 from imddsim import link as link_mod
 from imddsim.adaptive import MlseConfig, mlse_detect, train_preemphasis_waveform
 from imddsim.cli import main as cli_main
@@ -36,7 +35,15 @@ from imddsim.evaluate import (
     _payload,
 )
 from imddsim.link import ChannelModel, NoiseSpec, apply_channel, make_channel, transmit_optical
-from imddsim.pam import PamRxConfig, PamTxConfig, pam4_demap, pam_receive, pam_transmit
+from imddsim.pam import (
+    PamRxConfig,
+    PamTxConfig,
+    pam4_demap,
+    pam_back_end,
+    pam_front_end,
+    pam_receive,
+    pam_transmit,
+)
 from imddsim.sigproc import SampleBuffer, resample
 
 PAM4 = np.array([-3.0, -1.0, 1.0, 3.0])
@@ -135,8 +142,11 @@ def test_criterion_3_awgn_pam4_oracle():
     sigma = gain * math.sqrt(np.mean(payload.levels**2) * 10 ** (-snr_db / 10.0))
     channel = ChannelModel(name="awgn", noise=NoiseSpec(sigma=sigma), seed=33)
     errors = total = 0
-    received = (apply_channel(wave, channel, seed=500 + block) for block in range(16))  # 2.1e6 bits
-    for rx_bits in receive_blocks(received, PamRxConfig(n_ffe_taps=1), payload):
+    rx_cfg = PamRxConfig(n_ffe_taps=1)
+    fronts = [pam_front_end(apply_channel(wave, channel, seed=500 + block), rx_cfg, payload)
+              for block in range(16)]  # 2.1e6 bits
+    for rx_bits in pam_back_end(fronts, [rx_cfg] * len(fronts), payload):
+        assert not isinstance(rx_bits, Exception), rx_bits
         errors += int(np.sum(rx_bits != payload_bits))
         total += payload_bits.size
     ber = errors / total

@@ -422,6 +422,38 @@ mlse_memory = none
         err = capsys.readouterr().err
         assert "point (40.0,)" in err and "Error" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        cfg_path = write_cfg(tmp_path, PAPER_DMT)
+        assert main(["--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_failed_loading_probes_once(self, tmp_path, capsys, monkeypatch):
+        # four blocks and the loading-table note share the point's one probe
+        from imddsim import dmt
+        from imddsim.evaluate import _dmt_loading
+
+        calls = []
+        estimate_snr = dmt.estimate_snr
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return estimate_snr(*args, **kwargs)
+
+        monkeypatch.setattr(dmt, "estimate_snr", counted)
+        _dmt_loading.cache_clear()
+        text = PAPER_DMT.replace("bit_rate = 112e9", "bit_rate = 400e9").replace(
+            "seed = 3", "seed = 3\nblocks = 4")
+        out = tmp_path / "out"
+        assert main(["--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        assert len(calls) == 1
+        row = (out / "ber_vs_rop.csv").read_text().splitlines()[1]
+        assert row.endswith(",,LoadingError: target 2557 bits/symbol infeasible, achievable 1012")
+        err = capsys.readouterr().err
+        assert err.count("LoadingError: target 2557") == 2
+
     def test_infeasible_loading_skips_loading_table_with_note(self, tmp_path, capsys):
         text = PAPER_DMT.replace("bit_rate = 112e9", "bit_rate = 400e9")
         text = text.replace("clipping_ratio_db = 15", "clipping_ratio_db = 10\nframes = 1")

@@ -90,30 +90,30 @@ class TestSweeps:
 
     def test_single_point_equals_single_run(self, experiment):
         spec = SweepSpec(values=(17.0,), blocks=1, base_seed=5)
-        result = run_sweep([at_snr(experiment, 17.0)], spec)
+        points = run_sweep([at_snr(experiment, 17.0)], spec)
         tx_bits, rx_bits = experiment.run_block(seed=spec.base_seed)
         direct = count_ber(tx_bits, rx_bits)
-        assert result.points[0].report.bit_errors == direct.bit_errors
+        assert points[0].report.bit_errors == direct.bit_errors
 
     def test_deterministic_csv_bytes(self, experiment, tmp_path):
         spec = SweepSpec(values=(15.0, 18.0), blocks=2, base_seed=3)
         experiments = [at_snr(experiment, snr) for snr in spec.values]
         paths = []
         for run in range(2):
-            result = run_sweep(experiments, spec)
+            points = run_sweep(experiments, spec)
             path = tmp_path / f"sweep{run}.csv"
             _write_csv(path, _result_rows(["channel.noise.snr_db"],
-                                          [[_fmt(snr)] for snr in spec.values], result.points))
+                                          [[_fmt(snr)] for snr in spec.values], points))
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
     def test_point_failure_recorded_and_sweep_continues(self, experiment):
         spec = SweepSpec(values=(4, 5), blocks=1, base_seed=1)
         even = replace(experiment, rx=replace(experiment.rx, n_ffe_taps=4))
-        result = run_sweep([even, experiment], spec)  # 4 taps is invalid (even)
-        assert result.points[0].report is None
-        assert "ValueError" in result.points[0].error
-        assert result.points[1].report is not None
+        points = run_sweep([even, experiment], spec)  # 4 taps is invalid (even)
+        assert points[0].report is None
+        assert "ValueError" in points[0].error
+        assert points[1].report is not None
 
     def test_two_dimensional_grid_csv(self, experiment, tmp_path):
         spec = SweepSpec(values=((3, 16.0), (5, 16.0), (3, 18.0), (5, 18.0)), blocks=1)
@@ -121,11 +121,11 @@ class TestSweeps:
             replace(at_snr(experiment, snr), rx=replace(experiment.rx, n_ffe_taps=taps))
             for taps, snr in spec.values
         ]
-        result = run_sweep(experiments, spec)
+        points = run_sweep(experiments, spec)
         path = tmp_path / "grid.csv"
         _write_csv(path, _result_rows(["rx.n_ffe_taps", "channel.noise.snr_db"],
                                       [[_fmt(v) for v in values] for values in spec.values],
-                                      result.points))
+                                      points))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("rx_n_ffe_taps,channel_noise_snr_db,")
         assert len(lines) == 5
@@ -135,13 +135,40 @@ class TestSweeps:
         experiments = [at_snr(experiment, snr) for snr in spec.values]
         serial = run_sweep(experiments, spec, jobs=1)
         parallel = run_sweep(experiments, spec, jobs=2)
-        assert [p.report.bit_errors for p in serial.points] == [
-            p.report.bit_errors for p in parallel.points
+        assert [p.report.bit_errors for p in serial] == [
+            p.report.bit_errors for p in parallel
         ]
 
     def test_one_experiment_per_point(self, experiment):
         with pytest.raises(ValueError, match="1 experiments for 2 sweep points"):
             run_sweep([experiment], SweepSpec(values=(15.0, 17.0)))
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (8, 2)])
+    def test_pool_has_at_most_one_worker_per_point(self, experiment, monkeypatch, jobs, workers):
+        # the pool is recorded and run in this process: no worker starts
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        spec = SweepSpec(values=(15.0, 17.0), blocks=1, base_seed=2)
+        experiments = [at_snr(experiment, snr) for snr in spec.values]
+        points = run_sweep(experiments, spec, jobs=jobs)
+        assert started == [workers]
+        assert points == run_sweep(experiments, spec, jobs=1)
 
 
 class TestBatchedSweepParity:
@@ -176,8 +203,8 @@ class TestBatchedSweepParity:
         expected = self.block_loop(experiments, spec)
         assert expected[1].error == "ValueError: FFE length must be odd and >= 1"
         assert expected[0].report.bits_total == 2 * 2 * 4**7
-        assert list(run_sweep(experiments, spec, jobs=1).points) == expected
-        assert list(run_sweep(experiments, spec, jobs=2).points) == expected
+        assert list(run_sweep(experiments, spec, jobs=1)) == expected
+        assert list(run_sweep(experiments, spec, jobs=2)) == expected
 
 
 class TestMixedRunBlocks:
@@ -206,6 +233,26 @@ class TestMixedRunBlocks:
             else:
                 assert outcome == expected
         assert failed == ["awgn_only"]
+
+    def test_group_without_front_ends(self):
+        # every block of the 21-tap group fails in its front end, so its
+        # back end gets an empty batch; the 11-tap group runs on
+        def pam(channel, taps):
+            return PamExperiment(rx=PamRxConfig(n_ffe_taps=taps), channel=channel,
+                                 payload_order=6, tx_preemphasis_taps=None)
+
+        drowned = pam(make_channel("awgn_only", snr_db=-40.0, seed=4), 21)
+        link = pam(make_channel("paper_10km", voa_db=3.8, seed=4), 11)
+        pairs = [(drowned, 31), (link, 32), (drowned, 33), (link, 34)]
+        outcomes = run_blocks(pairs)
+        for (experiment, seed), outcome in zip(pairs, outcomes):
+            if experiment is drowned:
+                with pytest.raises(Exception) as raised:
+                    experiment.run_block(seed)
+                assert (type(outcome), str(outcome)) == (raised.type, str(raised.value))
+            else:
+                assert outcome == count_ber(*experiment.run_block(seed))
+        assert outcomes[0] is not outcomes[2]
 
 class TestLatency:
     def test_nyquist_ffe_paper_values(self):

@@ -18,6 +18,8 @@ from imddsim.pam import (
     level_adjustment_for_eml,
     pam4_demap,
     pam4_map,
+    pam_back_end,
+    pam_front_end,
     pam_receive,
     pam_transmit,
     pr_encode,
@@ -31,7 +33,6 @@ from imddsim.sigproc import (
     raised_cosine_shape,
 )
 
-from batch_helpers import receive_blocks
 from spectral_helpers import average_psd
 
 
@@ -197,6 +198,9 @@ class TestReceive:
         rx_bits = pam_receive(wave, rx_cfg, payload)
         assert np.array_equal(rx_bits, payload_bits)
 
+    def test_back_end_of_no_blocks(self, payload):
+        assert pam_back_end([], [], payload) == []
+
     def test_awgn_ber_matches_analytic_pam4(self, payload, payload_bits):
         # closed-form gray PAM4 over AWGN: BER = (3/8) erfc(sqrt(SNR/10))
         import math
@@ -214,8 +218,11 @@ class TestReceive:
         chan = ChannelModel(name="awgn", noise=NoiseSpec(sigma=sigma), seed=77)
         errors = 0
         total = 0
-        received = (apply_channel(wave, chan, seed=1000 + block) for block in range(8))  # > 1e6 bits
-        for rx_bits in receive_blocks(received, PamRxConfig(n_ffe_taps=1), payload):
+        rx_cfg = PamRxConfig(n_ffe_taps=1)
+        fronts = [pam_front_end(apply_channel(wave, chan, seed=1000 + block), rx_cfg, payload)
+                  for block in range(8)]  # > 1e6 bits
+        for rx_bits in pam_back_end(fronts, [rx_cfg] * len(fronts), payload):
+            assert not isinstance(rx_bits, Exception), rx_bits
             errors += int(np.sum(rx_bits != payload_bits))
             total += payload_bits.size
         ber = errors / total
