@@ -58,88 +58,10 @@ class FfeTaps:
 # LMS feedforward equalizer
 # ---------------------------------------------------------------------------
 
-def _lms_pass(
-    x: np.ndarray,
-    w: np.ndarray,
-    desired: np.ndarray | None,
-    levels: np.ndarray,
-    n_train: int,
-    mu_train: float,
-    mu_dd: float,
-) -> np.ndarray:
-    """One sequential LMS sweep over a cyclic block; mutates `w` in place.
-
-    Data-aided on the first `n_train` samples (when `desired` is given),
-    decision-directed on the rest.  Returns the equalizer output stream.
-    Raises EqualizerDivergence when the windowed MSE grows out of hand.
-
-    The loop is bit-exact to the plain per-sample recursion
-    ``y = w @ win; w += mu * e * win`` with ``win`` the reversed window:
-
-    - ``win`` is a row of a reversed sliding-window view, so it keeps the
-      negative stride of ``xp[k : k + n_taps][::-1]``.  On such a view
-      ``@`` sums the products in tap order; ``np.dot`` copies to a
-      contiguous buffer and hands it to BLAS, which rounds differently.
-    - The update multiplies into a scratch buffer and adds it to `w`:
-      the same two roundings as ``w += mu * e * win``, with no fused
-      multiply-add and no temporary array.
-    - The slicer bisects Python lists of the level midpoints, which is
-      ``searchsorted(side="left")``.
-    - Outputs and known symbols pass through Python lists one MSE window
-      at a time.  A Python float costs about 32 bytes against 8 in an
-      ndarray, so lists the length of the block would raise the peak
-      memory of a run; lists one window long stay at about 64 kB.
-    """
-    n = x.size
-    n_taps = w.size
-    half = n_taps // 2
-    xp = np.concatenate((x[-half:], x, x[:half])) if half else x
-    windows = sliding_window_view(xp, n_taps)[:, ::-1]
-    mids = ((levels[1:] + levels[:-1]) / 2.0).tolist()
-    level_list = levels.tolist()
-    level_power = float(np.mean(levels**2))
-    n_aided = n_train if desired is not None else 0
-    out = np.empty(n)
-    step = np.empty(n_taps)
-    first_window_mse = None
-    window = 2048
-    for start in range(0, n, window):
-        stop = min(start + window, n)
-        known = desired[start : min(stop, n_aided)].tolist() if start < n_aided else []
-        n_known = len(known)
-        outputs = []
-        err_acc = 0.0
-        for i, win in enumerate(windows[start:stop]):
-            y = float(w @ win)
-            outputs.append(y)
-            if i < n_known:
-                d = known[i]
-                mu = mu_train
-            else:
-                d = level_list[bisect_left(mids, y)]
-                mu = mu_dd
-            e = d - y
-            if not -1e60 < e < 1e60:
-                raise EqualizerDivergence(mu, abs(e))
-            np.multiply(win, mu * e, out=step)
-            np.add(w, step, out=w)
-            err_acc += e * e
-        out[start:stop] = outputs
-        if stop - start == window:
-            mse = err_acc / window
-            if not math.isfinite(mse) or mse > 1e6 * level_power:
-                raise EqualizerDivergence(mu, mse)
-            if first_window_mse is None:
-                first_window_mse = max(mse, 1e-12)
-            elif mse > 100.0 * first_window_mse and mse > 10.0 * level_power:
-                raise EqualizerDivergence(mu, mse)
-    return out
-
-
 def _lms_pass_batch(
     xp: np.ndarray,
     w: np.ndarray,
-    desired: np.ndarray | None,
+    desired: np.ndarray,
     levels: np.ndarray,
     n_train: int,
     mu_train: float,
@@ -147,24 +69,27 @@ def _lms_pass_batch(
     failed: list,
     n_kept: int,
 ) -> np.ndarray:
-    """:func:`_lms_pass` over B cyclic blocks in lockstep; mutates `w` in place.
+    """The receive FFE's LMS sweep over B cyclic blocks in lockstep;
+    mutates `w` in place.
 
     `xp` holds the blocks as rows, each already extended cyclically by
     ``n_taps // 2`` samples on both sides, and `w` their ``(B, n_taps)``
-    taps.  `failed[b]` is None while stream b adapts.  A stream that
-    diverges gets the EqualizerDivergence `_lms_pass` would raise on it
-    there, and its taps stop moving; the others run on, and the pass ends
-    at the next MSE window once none does.  Returns the outputs of the
-    first `n_kept` samples, one row per stream; a failed stream's row has
-    no meaning.
+    taps.  Data-aided on the first `n_train` samples, decision-directed on
+    the rest.  `failed[b]` is None while stream b adapts.  A stream that
+    diverges gets an EqualizerDivergence and its taps stop moving; the
+    others run on, and the pass ends at the next MSE window once none
+    does.  Returns the outputs of the first `n_kept` samples, one row per
+    stream; a failed stream's row has no meaning.
 
-    Every stream sees exactly the floats of `_lms_pass`:
+    Each stream is bit-exact to the per-sample recursion ``y = w @ win;
+    w += mu * e * win`` with ``win = xp[b, k : k + n_taps][::-1]``:
 
     - The windows are ``(B, n_taps, 1)`` views with a negative tap stride.
       On those ``np.matmul`` calls numpy's plain dot loop for each stream,
       which sums the products in tap order, as ``w @ win`` does.
-    - The slicer, the error, ``mu * e`` and the windowed MSE are Python
-      floats per stream, the arithmetic of `_lms_pass`.
+    - The slicer (a bisect of the level midpoints: ``searchsorted(side=
+      "left")``), the error, ``mu * e`` and the windowed MSE are Python
+      floats per stream.
     - The update multiplies every window by its stream's ``mu * e`` into
       scratch and adds that to `w`: the same two roundings.
     """
@@ -177,7 +102,6 @@ def _lms_pass_batch(
     mids = ((levels[1:] + levels[:-1]) / 2.0).tolist()
     level_list = levels.tolist()
     level_power = float(np.mean(levels**2))
-    n_aided = n_train if desired is not None else 0
     kept = np.empty((n_streams, n_kept))
     y = np.empty((n_streams, 1, 1))
     y_flat = y.reshape(n_streams)
@@ -192,7 +116,7 @@ def _lms_pass_batch(
         if not running:
             break
         stop = min(start + window, n)
-        known = desired[start : min(stop, n_aided)].tolist() if start < n_aided else []
+        known = desired[start : min(stop, n_train)].tolist() if start < n_train else []
         n_known = len(known)
         outputs = []
         err_acc = [0.0] * n_streams
@@ -327,6 +251,8 @@ def _equalize_streams(
     n = desired.size
     if any(x.size != n for x in xs):
         raise ValueError("rx block and reference must have equal symbol counts")
+    if n_taps > n:
+        raise ValueError(f"FFE length {n_taps} exceeds the block of {n} symbols")
     # adapt in the alphabet-power domain (the step sizes assume it),
     # capping the step well below the white-input stability bound 2/(N*P):
     # the equalizer input is strongly colored, which tightens the true bound
@@ -571,6 +497,50 @@ PREEMPHASIS_MU = 5e-4
 PREEMPHASIS_PASSES = 3
 """Adaptation sweeps of the pre-emphasis trainer over its cyclic probe."""
 
+PREEMPHASIS_SAMPLES_PER_TAP = 10
+"""Fewest probe samples the pre-emphasis trainer takes per tap."""
+
+
+def _preemphasis_pass(x: np.ndarray, w: np.ndarray, desired: np.ndarray, mu: float,
+                      power: float) -> None:
+    """One data-aided LMS sweep of `w` over the cyclic waveform `x` towards
+    the known waveform `desired`; mutates `w` in place.  Raises
+    EqualizerDivergence as `_lms_pass_batch` does, against the alphabet
+    power `power`.
+
+    Bit-exact to the per-sample recursion ``w += mu * (d - w @ win) * win``
+    with ``win = xp[k : k + n_taps][::-1]``: ``@`` on a row of the reversed
+    sliding-window view sums the products in tap order (``np.dot`` copies
+    to BLAS, which rounds differently), and the update multiplies into
+    scratch, then adds, with no fused multiply-add.
+    """
+    n = x.size
+    n_taps = w.size
+    half = n_taps // 2
+    xp = np.concatenate((x[-half:], x, x[:half])) if half else x
+    windows = sliding_window_view(xp, n_taps)[:, ::-1]
+    step = np.empty(n_taps)
+    first_window_mse = None
+    window = 2048
+    for start in range(0, n, window):
+        stop = min(start + window, n)
+        err_acc = 0.0
+        for d, win in zip(desired[start:stop].tolist(), windows[start:stop]):
+            e = d - float(w @ win)
+            if not -1e60 < e < 1e60:
+                raise EqualizerDivergence(mu, abs(e))
+            np.multiply(win, mu * e, out=step)
+            np.add(w, step, out=w)
+            err_acc += e * e
+        if stop - start == window:
+            mse = err_acc / window
+            if not math.isfinite(mse) or mse > 1e6 * power:
+                raise EqualizerDivergence(mu, mse)
+            if first_window_mse is None:
+                first_window_mse = max(mse, 1e-12)
+            elif mse > 100.0 * first_window_mse and mse > 10.0 * power:
+                raise EqualizerDivergence(mu, mse)
+
 
 def train_preemphasis_waveform(probe: SampleBuffer, observed: SampleBuffer, n_taps: int) -> FfeTaps:
     """Indirect-learning pre-emphasis trainer for a known probe waveform.
@@ -583,17 +553,19 @@ def train_preemphasis_waveform(probe: SampleBuffer, observed: SampleBuffer, n_ta
     """
     if len(probe) != len(observed):
         raise ValueError("probe and observed waveforms must align sample-for-sample")
-    if len(probe) < 10 * n_taps:
-        raise ValueError(f"probe too short: need >= {10 * n_taps} samples for {n_taps} taps")
+    need = PREEMPHASIS_SAMPLES_PER_TAP * n_taps
+    if len(probe) < need:
+        raise ValueError(f"probe too short: need >= {need} samples for {n_taps} taps")
     desired = probe.samples
     x = observed.samples
     gain = np.sqrt(np.mean(desired**2) / max(np.mean(x**2), 1e-30))
     x = x * gain
-    dummy_levels = np.array([np.min(desired), np.max(desired) + 1e-9])
+    # the divergence checks scale with the power of the probe's extremes
+    power = float(np.mean(np.array([np.min(desired), np.max(desired) + 1e-9]) ** 2))
     w = np.zeros(n_taps)
     w[n_taps // 2] = 1.0
     for _ in range(PREEMPHASIS_PASSES):
-        _lms_pass(x, w, desired, dummy_levels, x.size, PREEMPHASIS_MU, PREEMPHASIS_MU)
+        _preemphasis_pass(x, w, desired, PREEMPHASIS_MU, power)
     return FfeTaps(w * gain)
 
 

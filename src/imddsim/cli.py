@@ -11,6 +11,7 @@ import argparse
 import configparser
 import difflib
 import itertools
+import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -19,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .dmt import DmtConfig, LoadingError, SyncError
-from .evaluate import DmtExperiment, PamExperiment, SweepSpec, latency_budget, run_sweep
+from .evaluate import (PREEMPHASIS_MAX_TAPS, DmtExperiment, PamExperiment, SweepSpec,
+                       latency_budget, run_sweep)
 from .link import CHANNEL_PRESETS, make_channel, preset_summary
 from .pam import PamRxConfig
 
@@ -87,6 +89,13 @@ def _parse_number(text: str):
         return float(text)
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _optional(cast):
     return lambda raw: None if raw.lower() == "none" else cast(raw)
 
@@ -99,17 +108,17 @@ def _numbers(raw: str) -> tuple:
 # defaults live on ExperimentConfig alone
 _KEYS = {
     "experiment.format": ("format", str),
-    "experiment.bit_rate": ("bit_rate", float),
+    "experiment.bit_rate": ("bit_rate", _finite),
     "experiment.seed": ("seed", int),
     "experiment.blocks": ("blocks", int),
     "channel.preset": ("preset", str),
-    "channel.voa_db": ("voa_db", float),
-    "channel.snr_db": ("snr_db", float),
+    "channel.voa_db": ("voa_db", _finite),
+    "channel.snr_db": ("snr_db", _finite),
     "dmt.fft_length": ("fft_length", int),
     "dmt.cp_fraction": ("cp_fraction", Fraction),
     "dmt.data_symbols": ("data_symbols", int),
     "dmt.training_symbols": ("training_symbols", int),
-    "dmt.clipping_ratio_db": ("dmt_clipping_ratio_db", _optional(float)),
+    "dmt.clipping_ratio_db": ("dmt_clipping_ratio_db", _optional(_finite)),
     "dmt.frames": ("frames", int),
     "pam.tx_taps": ("tx_taps", int),
     "pam.rx_taps": ("rx_taps", int),
@@ -218,6 +227,8 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
                       "is not a whole number of samples")
     if cfg.cp_fraction < 0:
         errors.append(f"dmt.cp_fraction: must be >= 0, got {cfg.cp_fraction}")
+    if cfg.bit_rate <= 0:
+        errors.append(f"experiment.bit_rate: must be > 0, got {cfg.bit_rate}")
     if cfg.seed < 0:
         errors.append(f"experiment.seed: must be >= 0, got {cfg.seed}")
     for key, value in (("experiment.blocks", cfg.blocks), ("dmt.frames", cfg.frames),
@@ -229,9 +240,15 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
     # 5), and order 12 is the longest de Bruijn sequence generated
     if not 5 <= cfg.payload_order <= 12:
         errors.append(f"pam.payload_order: must be 5..12, got {cfg.payload_order}")
+    elif cfg.rx_taps > 4**cfg.payload_order:
+        errors.append(f"pam.rx_taps: must be <= {4**cfg.payload_order}, the symbols of a "
+                      f"payload_order {cfg.payload_order} block, got {cfg.rx_taps}")
     for key, value in (("pam.tx_taps", cfg.tx_taps), ("pam.rx_taps", cfg.rx_taps)):
         if value < 1 or value % 2 == 0:
             errors.append(f"{key}: FFE lengths must be odd and >= 1")
+    if cfg.tx_taps > PREEMPHASIS_MAX_TAPS:
+        errors.append(f"pam.tx_taps: must be <= {PREEMPHASIS_MAX_TAPS}, the most the "
+                      f"pre-emphasis probe trains, got {cfg.tx_taps}")
     memory = cfg.mlse_memory
     if cfg.format == "pr_pam4":
         if memory is None:

@@ -18,7 +18,7 @@ import numpy as np
 from . import dmt as dmt_mod
 from . import link as link_mod
 from . import pam as pam_mod
-from .adaptive import train_preemphasis_waveform
+from .adaptive import PREEMPHASIS_SAMPLES_PER_TAP, train_preemphasis_waveform
 from .link import ChannelModel, apply_channel
 # raised_cosine_shape is unused here, and train_preemphasis names the one
 # trainer: both stay bound because perfbench/spans.py wraps them by name
@@ -83,6 +83,12 @@ def _payload(order: int) -> SymbolSequence:
     return debruijn_sequence(4, order)
 
 
+_PROBE_ORDER = 8  # the pre-emphasis probe: 4**8 symbols, 98,304 DAC samples
+
+PREEMPHASIS_MAX_TAPS = int(4**_PROBE_ORDER * pam_mod.OVERSAMPLE) // PREEMPHASIS_SAMPLES_PER_TAP
+"""Most pre-emphasis taps the probe trains."""
+
+
 @lru_cache(maxsize=8)
 def _trained_preemphasis(n_taps: int, dac_rate: float, partial_response: bool) -> tuple[float, ...]:
     """Pre-emphasis taps learned on the driver side of the transmitter
@@ -93,7 +99,7 @@ def _trained_preemphasis(n_taps: int, dac_rate: float, partial_response: bool) -
     band the format occupies (partial response ends up with the weaker
     pre-emphasis its concentrated spectrum asks for).
     """
-    probe = _payload(8)
+    probe = _payload(_PROBE_ORDER)
     symbols = pam_mod.pr_encode(probe) if partial_response else probe
     shaped = pam_mod.shape_pulses(symbols.levels, dac_rate / pam_mod.OVERSAMPLE)
     observed = link_mod.apply_stages(shaped, link_mod.TX_DRIVER_STAGES)

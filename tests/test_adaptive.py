@@ -20,6 +20,7 @@ from imddsim.adaptive import (
 from imddsim.link import TX_DRIVER_STAGES, apply_stages, cascade_response
 from imddsim.sigproc import (
     SampleBuffer,
+    SymbolSequence,
     debruijn_sequence,
     fractional_delay,
     raised_cosine_shape,
@@ -89,6 +90,13 @@ class TestLmsFfe:
     def test_even_tap_count_rejected(self, payload):
         with pytest.raises(ValueError):
             lms_equalize(payload.levels, payload, n_taps=10).taps
+
+    def test_longer_than_the_block_rejected(self, payload):
+        # the cyclic extension of a block would read past the block
+        block = SymbolSequence(payload.indices[:20], payload.alphabet)
+        with pytest.raises(ValueError, match="exceeds the block"):
+            lms_equalize(block.levels, block, n_taps=41)
+        assert len(lms_equalize(block.levels, block, n_taps=19).taps) == 19
 
     def test_mse_non_increasing_below_stability_bound(self, payload):
         # window-averaged MSE settles monotonically after burn-in

@@ -122,7 +122,11 @@ fft_length = 300
          ("nyquist_pam4", "pam.tx_taps", "5.5"),
          ("dmt", "dmt.fft_length", "300"),
          ("pr_pam4", "pam.mlse_memory", "0, 1"),
-         ("nyquist_pam4", "pam.mlse_memory", "-1, 1")],
+         ("nyquist_pam4", "pam.mlse_memory", "-1, 1"),
+         ("nyquist_pam4", "pam.rx_taps", "65537, 41"),
+         ("nyquist_pam4", "pam.tx_taps", "9831, 11"),
+         ("dmt", "dmt.clipping_ratio_db", "nan"),
+         ("dmt", "dmt.clipping_ratio_db", "inf, 10")],
     )
     def test_bad_swept_value_is_the_fixed_config_error(self, tmp_path, capsys, fmt, key, values):
         base = f"[experiment]\nformat = {fmt}\n\n[channel]\npreset = paper_b2b\n"
@@ -150,7 +154,15 @@ fft_length = 300
          ("dmt", "frames = 0"),
          ("dmt", "training_symbols = 0"),
          ("dmt", "data_symbols = 0"),
-         ("dmt", "cp_fraction = -1/64")],
+         ("dmt", "cp_fraction = -1/64"),
+         ("experiment", "bit_rate = 0"),
+         ("experiment", "bit_rate = -112e9"),
+         ("experiment", "bit_rate = nan"),
+         ("experiment", "bit_rate = inf"),
+         ("channel", "voa_db = nan"),
+         ("channel", "voa_db = inf"),
+         ("dmt", "clipping_ratio_db = nan"),
+         ("dmt", "clipping_ratio_db = inf")],
     )
     def test_out_of_range_value_rejected(self, tmp_path, capsys, section, line):
         key = f"{section}.{line.split(' = ')[0]}"
@@ -160,6 +172,22 @@ fft_length = 300
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {key}: must be " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [("payload_order = 5\nrx_taps = 4097", "pam.rx_taps"),
+         ("payload_order = 6\ntx_taps = 9833", "pam.tx_taps")],
+        ids=["rx_taps_over_the_block", "tx_taps_over_the_probe"],
+    )
+    def test_ffe_over_its_bound_rejected(self, tmp_path, capsys, lines, key):
+        text = f"[experiment]\nformat = nyquist_pam4\n\n[pam]\n{lines}\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {key}: must be <= " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # the longest FFE of each kind is a valid config
+        longest = {"pam.rx_taps": "rx_taps = 1023", "pam.tx_taps": "tx_taps = 9829"}[key]
+        parse_config(write_cfg(tmp_path, text.replace(lines.split("\n")[1], longest)))
 
     @pytest.mark.parametrize(
         "cp_fraction, sweep, fft_length",

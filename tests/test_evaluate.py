@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from imddsim import adaptive
 from imddsim.cli import _fmt, _result_rows, _write_csv
 from imddsim.dmt import DmtConfig
 from imddsim.evaluate import (
+    PREEMPHASIS_MAX_TAPS,
     BerReport,
     DmtExperiment,
     PamExperiment,
@@ -234,6 +236,24 @@ class TestMixedRunBlocks:
                 assert outcome == expected
         assert failed == ["awgn_only"]
 
+    def test_ffe_longer_than_its_block_fails_each_block(self):
+        # 4097 taps on 1024-symbol blocks: each block of that group gets the
+        # ValueError, as for an even length; the 11-tap group runs on
+        def pam(taps):
+            return PamExperiment(rx=PamRxConfig(n_ffe_taps=taps),
+                                 channel=make_channel("paper_10km", voa_db=3.8, seed=4),
+                                 payload_order=5, tx_preemphasis_taps=None)
+
+        long, short = pam(4097), pam(11)
+        pairs = [(long, 41), (short, 42), (long, 43)]
+        outcomes = run_blocks(pairs)
+        for (experiment, seed), outcome in zip(pairs, outcomes):
+            if experiment is long:
+                assert isinstance(outcome, ValueError)
+                assert str(outcome) == "FFE length 4097 exceeds the block of 1024 symbols"
+            else:
+                assert outcome == count_ber(*experiment.run_block(seed))
+
     def test_group_without_front_ends(self):
         # every block of the 21-tap group fails in its front end, so its
         # back end gets an empty batch; the 11-tap group runs on
@@ -320,6 +340,15 @@ class TestResolveTx:
         assert (tx.symbol_rate, tx.partial_response) == (rx.symbol_rate, partial)
         assert tx.clipping_ratio_db == clipping_db
         assert tx.pre_emphasis_taps == _trained_preemphasis(11, tx.dac_rate, partial)
+
+    def test_tap_bound_is_the_trainers(self, monkeypatch):
+        # the longest pre-emphasis the probe trains, and one tap more is refused
+        monkeypatch.setattr(adaptive, "_preemphasis_pass", lambda *args: None)
+        train = _trained_preemphasis.__wrapped__  # past the cache
+        longest = PREEMPHASIS_MAX_TAPS - 1 + PREEMPHASIS_MAX_TAPS % 2  # odd
+        assert len(train(longest, 84e9, False)) == longest
+        with pytest.raises(ValueError, match="probe too short"):
+            train(PREEMPHASIS_MAX_TAPS + 1, 84e9, False)
 
     @pytest.mark.parametrize("preset", CHANNEL_PRESETS)
     def test_level_adjustment_only_with_the_eml(self, preset):

@@ -14,15 +14,15 @@ from imddsim import adaptive
 from imddsim.adaptive import (
     EqualizerDivergence,
     MlseConfig,
-    _lms_pass,
     _lms_pass_batch,
+    _preemphasis_pass,
     apply_taps_cyclic,
     lms_equalize,
     lms_equalize_batch,
     mlse_detect,
     mlse_detect_batch,
 )
-from imddsim.evaluate import PamExperiment, count_ber
+from imddsim.evaluate import PamExperiment, _trained_preemphasis, count_ber
 from imddsim.link import make_channel
 from imddsim.pam import PamRxConfig
 from imddsim.sigproc import SymbolSequence
@@ -49,7 +49,7 @@ def oracle_lms_pass(x, w, desired, levels, n_train, mu_train, mu_dd):
         win = xp[k : k + n_taps][::-1]
         y = float(w @ win)
         out[k] = y
-        if desired is not None and k < n_train:
+        if k < n_train:
             d = desired[k]
             mu = mu_train
         else:
@@ -74,8 +74,8 @@ def oracle_lms_pass(x, w, desired, levels, n_train, mu_train, mu_dd):
 
 
 def oracle_lms_equalize(x, reference, n_taps):
-    """One block through the serial kernel: scale, four passes of
-    `_lms_pass` from a center spike, re-filter with the converged taps."""
+    """One block through the per-sample oracle: scale, four passes of
+    `oracle_lms_pass` from a center spike, re-filter with the converged taps."""
     levels = reference.alphabet
     desired = reference.levels
     power = float(np.mean(levels**2))
@@ -87,7 +87,8 @@ def oracle_lms_equalize(x, reference, n_taps):
     n_train = max(int(0.1 * x.size), min(x.size, 4 * n_taps))
     mse_train = np.inf
     for _ in range(4):
-        out = _lms_pass(x, w, desired, levels, n_train, min(1e-3, mu_cap), min(1e-4, mu_cap))
+        out = oracle_lms_pass(x, w, desired, levels, n_train, min(1e-3, mu_cap),
+                              min(1e-4, mu_cap))
         mse_train = min(mse_train, float(np.mean((out[:n_train] - desired[:n_train]) ** 2)))
     output = apply_taps_cyclic(x, w)
     mids = (levels[1:] + levels[:-1]) / 2.0
@@ -137,15 +138,32 @@ def colored_block(n, seed=0, noise=0.3):
     return x * np.sqrt(power / np.mean(x**2)), symbols
 
 
+def batch_of_one(x, w, *args):
+    """`_lms_pass_batch` on the one stream `x`: its outputs, or the
+    EqualizerDivergence it records, raised."""
+    failed = [None]
+    (out,) = _lms_pass_batch(padded([x], w.size), w[np.newaxis], *args, failed, x.size)
+    if failed[0] is not None:
+        raise failed[0]
+    return out
+
+
 def run_both(x, n_taps, *args, passes=2):
     """Run kernel and oracle from the same center-spike taps; outputs per pass."""
     results = []
-    for fn in (_lms_pass, oracle_lms_pass):
+    for fn in (batch_of_one, oracle_lms_pass):
         w = np.zeros(n_taps)
         w[n_taps // 2] = 1.0
         outs = [fn(x, w, *args) for _ in range(passes)]
         results.append((outs, w))
     return results
+
+
+def preemphasis_pass(x, w, desired, levels, n_train, mu_train, mu_dd):
+    """`_preemphasis_pass` in the oracle's terms: data-aided throughout at
+    one step, the divergence checks against the power of `levels`."""
+    assert n_train == x.size and mu_train == mu_dd
+    _preemphasis_pass(x, w, desired, mu_train, float(np.mean(levels**2)))
 
 
 def assert_identical(results):
@@ -169,42 +187,53 @@ class TestLmsPassParity:
 
     def test_slicer_ties_at_midpoints(self):
         # an output exactly on a level midpoint must resolve to the lower level
-        x, _ = colored_block(4096, seed=6, noise=0.1)
+        x, symbols = colored_block(4096, seed=6, noise=0.1)
         x[:3] = (2.0, -2.0, 0.0)
-        assert_identical(run_both(x, 1, None, PAM4, 0, 1e-3, 1e-4))
+        assert_identical(run_both(x, 1, symbols, PAM4, 0, 1e-3, 1e-4))
 
     def test_without_reference(self):
-        x, _ = colored_block(4096, seed=2, noise=0.1)
-        assert_identical(run_both(x, 11, None, PAM4, 400, 1e-3, 1e-4))
+        # no known symbols: decision-directed from the first sample
+        x, symbols = colored_block(4096, seed=2, noise=0.1)
+        assert_identical(run_both(x, 11, symbols, PAM4, 0, 1e-3, 1e-4))
 
     def test_block_not_a_multiple_of_the_mse_window(self):
         x, symbols = colored_block(5000, seed=3)
         assert_identical(run_both(x, 21, symbols, PAM4, 2100, 1e-3, 1e-4))
 
     def test_fully_aided_trainer_path(self):
-        # the pre-emphasis trainers: known waveform throughout, two dummy levels
+        # the pre-emphasis trainer: known waveform throughout, the power of
+        # the waveform's extremes for the divergence checks
         x, symbols = colored_block(6000, seed=4)
         levels = np.array([np.min(symbols), np.max(symbols) + 1e-9])
-        assert_identical(run_both(x, 61, symbols, levels, x.size, 5e-4, 5e-4, passes=3))
+        taps = []
+        for fn in (preemphasis_pass, oracle_lms_pass):
+            w = np.zeros(61)
+            w[30] = 1.0
+            for _ in range(3):
+                fn(x, w, symbols, levels, x.size, 5e-4, 5e-4)
+            taps.append(w)
+        assert np.array_equal(*taps)
 
     @pytest.mark.parametrize("mu", [0.9, 0.05])
     def test_divergence_same_mu_and_state(self, mu):
+        # fully aided, so the pre-emphasis trainer's loop runs it too
         x, symbols = colored_block(3 * 2048, seed=5)
         raised = []
-        for fn in (_lms_pass, oracle_lms_pass):
+        for fn in (batch_of_one, preemphasis_pass, oracle_lms_pass):
             w = np.zeros(21)
             w[10] = 1.0
             with pytest.raises(EqualizerDivergence) as err:
                 fn(x, w, symbols, PAM4, x.size, mu, mu)
             raised.append((err.value.mu, str(err.value), w))
-        (mu_new, msg_new, w_new), (mu_ref, msg_ref, w_ref) = raised
-        assert mu_new == mu_ref == mu
-        assert msg_new == msg_ref
-        assert np.array_equal(w_new, w_ref, equal_nan=True)
+        *kernels, (mu_ref, msg_ref, w_ref) = raised
+        for mu_new, msg_new, w_new in kernels:
+            assert mu_new == mu_ref == mu
+            assert msg_new == msg_ref
+            assert np.array_equal(w_new, w_ref, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
-# batched LMS: the serial kernel is the oracle, stream by stream
+# batched LMS: the per-sample oracle, stream by stream
 # ---------------------------------------------------------------------------
 
 def colored_streams(n, n_streams, seed):
@@ -238,23 +267,22 @@ def center_spikes(n_streams, n_taps):
 def batch_cases(draw):
     n_streams = draw(st.integers(1, 6))
     n_taps = draw(st.sampled_from(range(1, 42, 2)))
-    aided = draw(st.booleans())
     # block lengths around the 2048-sample MSE window
     n = draw(st.sampled_from([2047, 2048, 4096, 5000]))
     seed = draw(st.integers(0, 2**16))
-    return n_streams, n_taps, aided, n, seed
+    return n_streams, n_taps, n, seed
 
 
 class TestLmsBatchParity:
     @settings(max_examples=12, deadline=None)
     @given(batch_cases())
-    @example((2, 1, True, 2048, 0))
-    @example((6, 41, False, 5000, 1))
-    @example((1, 21, True, 2048, 5))
+    @example((2, 1, 2048, 0))
+    @example((6, 41, 5000, 1))
+    @example((1, 21, 2048, 5))
     def test_pass_matches_serial_per_stream(self, case):
-        n_streams, n_taps, aided, n, seed = case
+        n_streams, n_taps, n, seed = case
         streams, reference = colored_streams(n, n_streams, seed)
-        desired = reference.levels if aided else None
+        desired = reference.levels
         mu = 0.05 * 2.0 / (n_taps * float(np.mean(PAM4**2)))
         args = (PAM4, n // 10, min(1e-3, mu), min(1e-4, mu))
         w = center_spikes(n_streams, n_taps)
@@ -265,16 +293,16 @@ class TestLmsBatchParity:
         for b, x in enumerate(streams):
             w_ref = center_spikes(1, n_taps)[0]
             for out in outs:
-                assert np.array_equal(out[b], _lms_pass(x, w_ref, desired, *args))
+                assert np.array_equal(out[b], oracle_lms_pass(x, w_ref, desired, *args))
             assert np.array_equal(w[b], w_ref)
 
     @settings(max_examples=8, deadline=None)
     @given(batch_cases())
-    @example((3, 1, True, 4096, 2))
-    @example((6, 41, True, 4096, 3))
-    @example((1, 41, True, 4096, 4))
+    @example((3, 1, 4096, 2))
+    @example((6, 41, 4096, 3))
+    @example((1, 41, 4096, 4))
     def test_equalize_matches_serial_per_stream(self, case):
-        n_streams, n_taps, _, n, seed = case
+        n_streams, n_taps, n, seed = case
         streams, reference = colored_streams(n, n_streams, seed)
         batch = lms_equalize_batch(streams, reference, n_taps)
         for x, eq in zip(streams, batch):
@@ -299,12 +327,12 @@ class TestLmsBatchParity:
             w_ref = center_spikes(1, 21)[0]
             if b == bad:
                 with pytest.raises(EqualizerDivergence) as err:
-                    _lms_pass(x, w_ref, *args)
+                    oracle_lms_pass(x, w_ref, *args)
                 assert str(failed[b]) == str(err.value)
                 assert failed[b].mu == err.value.mu == 0.002
             else:
                 assert failed[b] is None
-                assert np.array_equal(out[b], _lms_pass(x, w_ref, *args))
+                assert np.array_equal(out[b], oracle_lms_pass(x, w_ref, *args))
             assert np.array_equal(w[b], w_ref)
 
 
@@ -474,3 +502,27 @@ class TestGoldenBlockCounts:
         tx_bits, rx_bits = exp.run_block(seed=11)
         assert tx_bits.size == 32768
         assert count_ber(tx_bits, rx_bits).bit_errors == errors
+
+
+class TestGoldenPreemphasisTaps:
+    """The trained pre-emphasis taps, float for float: the trainer's LMS
+    loop feeds every PAM block, so a moved rounding shows here first."""
+
+    @pytest.mark.parametrize(
+        "n_taps, partial, taps",
+        [
+            (11, False, (0.08811409039826561, -0.3130210395515501, 0.5588832253336322,
+                         -0.5391935372933951, -0.41618214428009664, 2.302648841098217,
+                         -0.3879434581141037, -0.5228913910938907, 0.4134907175406562,
+                         -0.28888826971693743, 0.107676891173251)),
+            (11, True, (-0.05279262463144847, 0.06922050171333695, 0.12996744634391452,
+                        -0.41322778796886855, -0.0937258674123092, 1.751593032891972,
+                        -0.02634298144909741, -0.4461325636199427, 0.02317507077772974,
+                        0.0811695311299055, -0.029915948694027465)),
+            (5, True, (0.11988895112455038, -0.99401968238807, 2.75231323114447,
+                       -0.7851902375439922, -0.09391297644178066)),
+        ],
+        ids=["nyquist_11", "pr_11", "pr_5"],
+    )
+    def test_trained_taps(self, n_taps, partial, taps):
+        assert _trained_preemphasis(n_taps, 84e9, partial) == taps
