@@ -5,7 +5,7 @@ from .dmt import DmtConfig, chow_bit_loading, cioffi_power_loading, dmt_demodula
 from .evaluate import BerReport, DmtExperiment, PamExperiment, count_ber, latency_budget, run_sweep
 from .link import ChannelModel, apply_channel, make_channel
 from .pam import PamRxConfig, PamTxConfig, pam_transmit
-from .sigproc import SampleBuffer, SymbolSequence, debruijn_sequence
+from .sigproc import SampleBuffer, SimulationError, SymbolSequence, debruijn_sequence
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,7 @@ __all__ = [
     "PamRxConfig",
     "PamTxConfig",
     "SampleBuffer",
+    "SimulationError",
     "SymbolSequence",
     "apply_channel",
     "chow_bit_loading",

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sigproc import SampleBuffer, SymbolSequence
+from .sigproc import SampleBuffer, SimulationError, SymbolSequence
 
 
-class EqualizerDivergence(RuntimeError):
+class EqualizerDivergence(SimulationError):
     """LMS adaptation diverged (growing MSE); carries the step size used."""
 
     def __init__(self, mu: float, mse: float):
@@ -24,7 +24,7 @@ class EqualizerDivergence(RuntimeError):
         self.mu = mu
 
 
-class ClockRecoveryError(RuntimeError):
+class ClockRecoveryError(SimulationError):
     """The Gardner S-curve is too weak to lock to, or has no usable zero
     crossing."""
 

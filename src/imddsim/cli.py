@@ -19,11 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dmt import DmtConfig, LoadingError, SyncError
+from .dmt import DmtConfig
 from .evaluate import (PREEMPHASIS_MAX_TAPS, DmtExperiment, PamExperiment, SweepSpec,
                        latency_budget, run_sweep)
 from .link import CHANNEL_PRESETS, make_channel, preset_summary
 from .pam import PamRxConfig
+from .sigproc import SimulationError
 
 FORMATS = ("dmt", "nyquist_pam4", "pr_pam4")
 
@@ -231,6 +232,8 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append(f"experiment.bit_rate: must be > 0, got {cfg.bit_rate}")
     if cfg.seed < 0:
         errors.append(f"experiment.seed: must be >= 0, got {cfg.seed}")
+    if cfg.voa_db < 0:  # an attenuator, never an amplifier
+        errors.append(f"channel.voa_db: must be >= 0, got {cfg.voa_db}")
     for key, value in (("experiment.blocks", cfg.blocks), ("dmt.frames", cfg.frames),
                        ("dmt.training_symbols", cfg.training_symbols),
                        ("dmt.data_symbols", cfg.data_symbols)):
@@ -357,7 +360,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     if cfg.format == "dmt":
         try:
             loading = experiment.loading()
-        except (LoadingError, SyncError) as exc:
+        except SimulationError as exc:
             print(f"note: no loading_table.csv ({type(exc).__name__}: {exc})", file=sys.stderr)
         else:
             _write_csv(out / "loading_table.csv", _loading_rows(loading))
@@ -483,10 +486,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return run(cfg, args.out, jobs=args.jobs)
-    except ConfigError as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
-        return 1
     except Exception as exc:  # pipeline failure
         print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

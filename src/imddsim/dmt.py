@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sigproc import SampleBuffer, clip, fft_pow2
+from .sigproc import SampleBuffer, SimulationError, clip, fft_pow2
 
 _TRAINING_SEED = 0x7261696E
 _PROBE_SEED = 0x70726F62
@@ -33,11 +33,11 @@ CHOW_MARGIN_FLOOR_DB = -12.0
 infeasible."""
 
 
-class SyncError(RuntimeError):
+class SyncError(SimulationError):
     """Frame synchronization failed (correlation peak below threshold)."""
 
 
-class LoadingError(RuntimeError):
+class LoadingError(SimulationError):
     """Requested bit total is not achievable; carries the achievable max."""
 
     def __init__(self, target: int, achievable: int):

@@ -8,7 +8,7 @@ optical extinction/OMA measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -22,7 +22,8 @@ from .adaptive import PREEMPHASIS_SAMPLES_PER_TAP, train_preemphasis_waveform
 from .link import ChannelModel, apply_channel
 # raised_cosine_shape is unused here, and train_preemphasis names the one
 # trainer: both stay bound because perfbench/spans.py wraps them by name
-from .sigproc import SampleBuffer, SymbolSequence, debruijn_sequence, raised_cosine_shape, resample
+from .sigproc import (SampleBuffer, SimulationError, SymbolSequence, debruijn_sequence,
+                      raised_cosine_shape, resample)
 
 train_preemphasis = train_preemphasis_waveform
 
@@ -46,22 +47,22 @@ def wilson_interval(errors: int, total: int, z: float = 1.96) -> tuple[float, fl
 
 @dataclass(frozen=True)
 class BerReport:
-    """Counted errors with FEC-threshold verdicts and a Wilson interval."""
+    """Counted errors; the FEC-threshold verdicts and the Wilson interval follow from them."""
 
     bit_errors: int
     bits_total: int
-    threshold_results: dict[str, bool] = field(default_factory=dict)
-    confidence: tuple[float, float] = (0.0, 1.0)
 
     @property
     def ber(self) -> float:
         return self.bit_errors / self.bits_total if self.bits_total else float("nan")
 
-    @classmethod
-    def from_counts(cls, errors: int, total: int) -> "BerReport":
-        ber = errors / total if total else float("nan")
-        verdicts = {name: ber < limit for name, limit in FEC_THRESHOLDS.items()}
-        return cls(errors, total, verdicts, wilson_interval(errors, total))
+    @property
+    def threshold_results(self) -> dict[str, bool]:
+        return {name: self.ber < limit for name, limit in FEC_THRESHOLDS.items()}
+
+    @property
+    def confidence(self) -> tuple[float, float]:
+        return wilson_interval(self.bit_errors, self.bits_total)
 
 
 def count_ber(tx_bits, rx_bits) -> BerReport:
@@ -71,7 +72,7 @@ def count_ber(tx_bits, rx_bits) -> BerReport:
     if tx.size != rx.size:
         raise ValueError(f"bit streams differ in length ({tx.size} vs {rx.size})")
     errors = int(np.sum(tx != rx))
-    return BerReport.from_counts(errors, tx.size)
+    return BerReport(errors, tx.size)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +172,7 @@ class DmtExperiment:
 
     def loading(self) -> dmt_mod.LoadingTable:
         loading = _dmt_loading(self.cfg, self.channel)
-        if isinstance(loading, Exception):
+        if isinstance(loading, SimulationError):
             # a fresh traceback each time, not one that grows with each raise
             raise loading.with_traceback(None)
         return loading
@@ -193,7 +194,8 @@ class DmtExperiment:
 
 
 @lru_cache(maxsize=32)
-def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.LoadingTable | Exception:
+def _dmt_loading(cfg: dmt_mod.DmtConfig,
+                 channel: ChannelModel) -> dmt_mod.LoadingTable | SimulationError:
     """Chow bit and Cioffi power loading on the SNR that the probe frame
     measures through `channel`, or the SyncError or LoadingError that
     stopped it (cached per config and link, so a failed point probes once)."""
@@ -202,7 +204,7 @@ def _dmt_loading(cfg: dmt_mod.DmtConfig, channel: ChannelModel) -> dmt_mod.Loadi
         received = apply_channel(probe, channel, seed=channel.seed ^ 0x534E52)
         snr = dmt_mod.estimate_snr(received, cfg)
         loading = dmt_mod.chow_bit_loading(snr, dmt_mod.rate_to_bits(cfg), cfg.max_loaded_carriers)
-    except (dmt_mod.SyncError, dmt_mod.LoadingError) as exc:
+    except SimulationError as exc:
         return exc
     return dmt_mod.cioffi_power_loading(loading, snr)
 
@@ -244,16 +246,17 @@ BATCH_STREAMS = 8
 as several batches, so a sweep's peak memory does not grow with its size."""
 
 
-def run_blocks(pairs) -> list[BerReport | Exception]:
+def run_blocks(pairs) -> list[BerReport | SimulationError]:
     """Run and count block `seed` of `experiment` for each `(experiment,
-    seed)` pair: its BerReport, or the exception the block raised.
+    seed)` pair: its BerReport, or the SimulationError the block raised.
 
     Each pair gets what ``count_ber(*experiment.run_block(seed))`` returns
-    or raises.  The PAM blocks with the same FFE length, payload and format
-    run as one group, `BATCH_STREAMS` at a time: every block's receive
-    front end, then one :func:`pam.pam_back_end`, whose blocks share one
-    batched FFE and whose MLSE blocks share one Viterbi time loop.  Other
-    experiments run their blocks one by one.
+    or raises as a SimulationError; any other exception propagates.  The
+    PAM blocks with the same FFE length, payload and format run as one
+    group, `BATCH_STREAMS` at a time: every block's receive front end, then
+    one :func:`pam.pam_back_end`, whose blocks share one batched FFE and
+    whose MLSE blocks share one Viterbi time loop.  Other experiments run
+    their blocks one by one.
     """
     outcomes: list = [None] * len(pairs)
     # (FFE length, payload order, partial response) -> indices of its pairs
@@ -266,7 +269,7 @@ def run_blocks(pairs) -> list[BerReport | Exception]:
             continue
         try:
             outcomes[i] = count_ber(*experiment.run_block(seed))
-        except Exception as exc:  # a failed block is recorded, the others run on
+        except SimulationError as exc:  # a failed block is recorded, the others run on
             outcomes[i] = exc
     for members in groups.values():
         for start in range(0, len(members), BATCH_STREAMS):
@@ -290,12 +293,12 @@ def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
             _, received = experiment._received(seed)
             fronts.append(pam_mod.pam_front_end(received, experiment.rx, reference))
             running.append(i)
-        except Exception as exc:  # a failed block is recorded, the others run on
+        except SimulationError as exc:  # a failed block is recorded, the others run on
             outcomes[i] = exc
     bits = pam_mod.pam4_demap(payload.indices)
     cfgs = [pairs[i][0].rx for i in running]
     for i, rx_bits in zip(running, pam_mod.pam_back_end(fronts, cfgs, payload)):
-        outcomes[i] = rx_bits if isinstance(rx_bits, Exception) else count_ber(bits, rx_bits)
+        outcomes[i] = rx_bits if isinstance(rx_bits, SimulationError) else count_ber(bits, rx_bits)
 
 
 def _run_points(experiments, spec: SweepSpec, indices) -> list[SweepPoint]:
@@ -308,14 +311,14 @@ def _run_points(experiments, spec: SweepSpec, indices) -> list[SweepPoint]:
     points = []
     for k, i in enumerate(indices):
         blocks = outcomes[k * spec.blocks : (k + 1) * spec.blocks]
-        failed = [o for o in blocks if isinstance(o, Exception)]
+        failed = [o for o in blocks if isinstance(o, SimulationError)]
         if failed:
             error = f"{type(failed[0]).__name__}: {failed[0]}"
             points.append(SweepPoint(spec.values[i], None, error))
             continue
         errors = sum(report.bit_errors for report in blocks)
         total = sum(report.bits_total for report in blocks)
-        points.append(SweepPoint(spec.values[i], BerReport.from_counts(errors, total)))
+        points.append(SweepPoint(spec.values[i], BerReport(errors, total)))
     return points
 
 

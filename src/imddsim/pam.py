@@ -13,12 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import adaptive, sigproc
-from .adaptive import MlseConfig
+from .adaptive import EqualizerDivergence, MlseConfig
 from .link import EML_BIAS_V, eml_drive_for_power, eml_power_mw
-from .sigproc import SampleBuffer, SymbolSequence
+from .sigproc import SampleBuffer, SimulationError, SymbolSequence
 
 
-class PayloadSyncError(RuntimeError):
+class PayloadSyncError(SimulationError):
     """Receiver could not align the equalized stream to the known payload."""
 
 
@@ -237,7 +237,7 @@ def pam_receive(signal: SampleBuffer, cfg: PamRxConfig, payload: SymbolSequence)
     """
     front = pam_front_end(signal, cfg, ffe_reference(payload, cfg))
     (rx_bits,) = pam_back_end([front], [cfg], payload)
-    if isinstance(rx_bits, Exception):
+    if isinstance(rx_bits, EqualizerDivergence):
         raise rx_bits
     return rx_bits
 
@@ -265,50 +265,40 @@ def pam_back_end(
     fronts: list[np.ndarray],
     cfgs: list[PamRxConfig],
     payload: SymbolSequence,
-) -> list[np.ndarray | Exception]:
+) -> list[np.ndarray | EqualizerDivergence]:
     """The receive chain from the FFE on for a batch of :func:`pam_front_end`
     outputs of `payload`, block b received with ``cfgs[b]``: one LMS FFE
     (data-aided then decision-directed) over the batch, each block's hard
     decision or MLSE, then demap.
 
-    The blocks share one FFE length and format.  Each gets its bits or its
-    exception: every block the ValueError of an even FFE length, a
-    diverged block its EqualizerDivergence, a block whose trellis cannot
-    be built (a memory shorter than the channel's, say) that ValueError.
-    Every MLSE block, each on its own trellis, goes through one
-    :func:`adaptive.mlse_detect_batch`.  `fronts` is emptied once
-    equalized, so the front-end outputs are freed before the trellis runs.
+    The blocks share one FFE length and format.  Each gets its bits or,
+    when it diverged, its EqualizerDivergence.  Every MLSE block, each on
+    its own trellis, goes through one :func:`adaptive.mlse_detect_batch`.
+    `fronts` is emptied once equalized, so the front-end outputs are freed
+    before the trellis runs.
     """
     if not fronts:
         return []
     reference = ffe_reference(payload, cfgs[0])
-    try:
-        equalized = adaptive.lms_equalize_batch(fronts, reference, cfgs[0].n_ffe_taps)
-    except ValueError as exc:  # an even FFE length fails every block alike
-        return [exc] * len(fronts)
+    equalized = adaptive.lms_equalize_batch(fronts, reference, cfgs[0].n_ffe_taps)
     fronts.clear()
     alphabet = np.asarray(PAM4_LEVELS)
     mids = (alphabet[1:] + alphabet[:-1]) / 2.0
-    # each block's symbol indices, or its exception
-    indices: list = [eq if isinstance(eq, Exception) else None for eq in equalized]
+    # each block's symbol indices; a diverged block keeps its EqualizerDivergence
+    indices: list = list(equalized)
     mlse_blocks = []
-    trellises = []
     for b, (eq, cfg) in enumerate(zip(equalized, cfgs)):
-        if indices[b] is not None:
+        if isinstance(eq, EqualizerDivergence):
             continue
         if cfg.mlse_memory is None:
             indices[b] = np.searchsorted(mids, eq.output)
-            continue
-        try:
-            trellises.append(_trellis(eq.output, cfg, payload))
-        except ValueError as exc:  # this block fails, the others run on
-            indices[b] = exc
-            continue
-        mlse_blocks.append(b)
+        else:
+            mlse_blocks.append(b)
+    trellises = [_trellis(equalized[b].output, cfgs[b], payload) for b in mlse_blocks]
     detected = adaptive.mlse_detect_batch([equalized[b].output for b in mlse_blocks], trellises)
     for b, sequence in zip(mlse_blocks, detected):
         indices[b] = sequence.indices
-    return [i if isinstance(i, Exception) else pam4_demap(i) for i in indices]
+    return [i if isinstance(i, EqualizerDivergence) else pam4_demap(i) for i in indices]
 
 
 def _trellis(equalized: np.ndarray, cfg: PamRxConfig, payload: SymbolSequence) -> MlseConfig:

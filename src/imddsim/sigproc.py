@@ -24,6 +24,11 @@ DEBRUIJN_LENGTH_CAP = 1 << 24
 # domain types
 # ---------------------------------------------------------------------------
 
+class SimulationError(RuntimeError):
+    """A block's simulation outcome (divergence, lost clock or sync, infeasible
+    loading), recorded per sweep point; any other exception propagates."""
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

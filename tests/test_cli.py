@@ -126,14 +126,16 @@ fft_length = 300
          ("nyquist_pam4", "pam.rx_taps", "65537, 41"),
          ("nyquist_pam4", "pam.tx_taps", "9831, 11"),
          ("dmt", "dmt.clipping_ratio_db", "nan"),
-         ("dmt", "dmt.clipping_ratio_db", "inf, 10")],
+         ("dmt", "dmt.clipping_ratio_db", "inf, 10"),
+         ("dmt", "channel.voa_db", "-1, 2")],
     )
     def test_bad_swept_value_is_the_fixed_config_error(self, tmp_path, capsys, fmt, key, values):
         base = f"[experiment]\nformat = {fmt}\n\n[channel]\npreset = paper_b2b\n"
         section, name = key.split(".")
         swept = write_cfg(tmp_path, base + f"\n[sweep]\nparameter = {key}\nvalues = {values}\n")
-        fixed = write_cfg(tmp_path, base + f"\n[{section}]\n{name} = {values.split(',')[0]}\n",
-                          "fixed.cfg")
+        line = f"{name} = {values.split(',')[0]}\n"
+        fixed_text = base + (line if section == "channel" else f"\n[{section}]\n{line}")
+        fixed = write_cfg(tmp_path, fixed_text, "fixed.cfg")
         with pytest.raises(ConfigError) as err:
             parse_config(swept)
         with pytest.raises(ConfigError) as fixed_err:
@@ -161,6 +163,7 @@ fft_length = 300
          ("experiment", "bit_rate = inf"),
          ("channel", "voa_db = nan"),
          ("channel", "voa_db = inf"),
+         ("channel", "voa_db = -30"),
          ("dmt", "clipping_ratio_db = nan"),
          ("dmt", "clipping_ratio_db = inf")],
     )
@@ -235,8 +238,10 @@ fft_length = 300
 
 ODD_TAPS = st.integers(0, 30).map(lambda k: 2 * k + 1)
 DECIBELS = st.one_of(st.integers(-3, 30), st.floats(-3.0, 30.0).map(lambda v: round(v, 3)))
+# an attenuation: a negative VOA is a config error
+VOA_DB = st.one_of(st.integers(0, 30), st.floats(0.0, 30.0).map(lambda v: round(v, 3)))
 SWEEP_VALUES = {
-    "channel.voa_db": DECIBELS,
+    "channel.voa_db": VOA_DB,
     "channel.snr_db": DECIBELS,
     "pam.rx_taps": ODD_TAPS,
     "pam.tx_taps": ODD_TAPS,

@@ -7,7 +7,7 @@ import pytest
 
 from imddsim import adaptive
 from imddsim.cli import _fmt, _result_rows, _write_csv
-from imddsim.dmt import DmtConfig
+from imddsim.dmt import DmtConfig, LoadingError, SyncError
 from imddsim.evaluate import (
     PREEMPHASIS_MAX_TAPS,
     BerReport,
@@ -24,8 +24,8 @@ from imddsim.evaluate import (
     wilson_interval,
 )
 from imddsim.link import CHANNEL_PRESETS, make_channel
-from imddsim.pam import PamRxConfig, level_adjustment_for_eml
-from imddsim.sigproc import SampleBuffer
+from imddsim.pam import PamRxConfig, PayloadSyncError, level_adjustment_for_eml
+from imddsim.sigproc import SampleBuffer, SimulationError
 
 
 class TestCountBer:
@@ -110,11 +110,10 @@ class TestSweeps:
         assert paths[0] == paths[1]
 
     def test_point_failure_recorded_and_sweep_continues(self, experiment):
-        spec = SweepSpec(values=(4, 5), blocks=1, base_seed=1)
-        even = replace(experiment, rx=replace(experiment.rx, n_ffe_taps=4))
-        points = run_sweep([even, experiment], spec)  # 4 taps is invalid (even)
+        spec = SweepSpec(values=(-40.0, 17.0), blocks=1, base_seed=1)
+        points = run_sweep([at_snr(experiment, -40.0), experiment], spec)  # drowned in noise
         assert points[0].report is None
-        assert "ValueError" in points[0].error
+        assert points[0].error.startswith("PayloadSyncError: ")
         assert points[1].report is not None
 
     def test_two_dimensional_grid_csv(self, experiment, tmp_path):
@@ -189,21 +188,21 @@ class TestBatchedSweepParity:
                     report = count_ber(*experiment.run_block(seed))
                     errors += report.bit_errors
                     total += report.bits_total
-                points.append(SweepPoint(values, BerReport.from_counts(errors, total)))
-            except Exception as exc:
+                points.append(SweepPoint(values, BerReport(errors, total)))
+            except SimulationError as exc:
                 points.append(SweepPoint(values, None, f"{type(exc).__name__}: {exc}"))
         return points
 
     def test_jobs_and_block_loop_agree(self):
         spec = SweepSpec(values=(2.8, 3.8, 4.8), blocks=2, base_seed=16)
-        experiments = [
-            PamExperiment(rx=PamRxConfig(n_ffe_taps=taps),
-                          channel=make_channel("paper_10km", voa_db=voa, seed=16),
-                          payload_order=7)
-            for voa, taps in zip(spec.values, (41, 40, 41))  # even taps fail
-        ]
+        channels = [make_channel("paper_10km", voa_db=2.8, seed=16),
+                    make_channel("awgn_only", snr_db=-40.0, seed=16),  # drowned: fails
+                    make_channel("paper_10km", voa_db=4.8, seed=16)]
+        experiments = [PamExperiment(rx=PamRxConfig(n_ffe_taps=41), channel=channel,
+                                     payload_order=7)
+                       for channel in channels]
         expected = self.block_loop(experiments, spec)
-        assert expected[1].error == "ValueError: FFE length must be odd and >= 1"
+        assert expected[1].error.startswith("PayloadSyncError: ")
         assert expected[0].report.bits_total == 2 * 2 * 4**7
         assert list(run_sweep(experiments, spec, jobs=1)) == expected
         assert list(run_sweep(experiments, spec, jobs=2)) == expected
@@ -229,30 +228,24 @@ class TestMixedRunBlocks:
         for (experiment, seed), outcome in zip(pairs, outcomes):
             try:
                 expected = count_ber(*experiment.run_block(seed))
-            except Exception as exc:
+            except SimulationError as exc:
                 assert (type(outcome), str(outcome)) == (type(exc), str(exc))
                 failed.append(experiment.channel.name)
             else:
                 assert outcome == expected
         assert failed == ["awgn_only"]
 
-    def test_ffe_longer_than_its_block_fails_each_block(self):
-        # 4097 taps on 1024-symbol blocks: each block of that group gets the
-        # ValueError, as for an even length; the 11-tap group runs on
+    def test_ffe_longer_than_its_block_raises(self):
+        # 4097 taps on 1024-symbol blocks is a caller's error, not a
+        # simulation outcome: it propagates rather than failing each block
         def pam(taps):
             return PamExperiment(rx=PamRxConfig(n_ffe_taps=taps),
                                  channel=make_channel("paper_10km", voa_db=3.8, seed=4),
                                  payload_order=5, tx_preemphasis_taps=None)
 
-        long, short = pam(4097), pam(11)
-        pairs = [(long, 41), (short, 42), (long, 43)]
-        outcomes = run_blocks(pairs)
-        for (experiment, seed), outcome in zip(pairs, outcomes):
-            if experiment is long:
-                assert isinstance(outcome, ValueError)
-                assert str(outcome) == "FFE length 4097 exceeds the block of 1024 symbols"
-            else:
-                assert outcome == count_ber(*experiment.run_block(seed))
+        pairs = [(pam(4097), 41), (pam(11), 42)]
+        with pytest.raises(ValueError, match="FFE length 4097 exceeds the block of 1024 symbols"):
+            run_blocks(pairs)
 
     def test_group_without_front_ends(self):
         # every block of the 21-tap group fails in its front end, so its
@@ -267,12 +260,44 @@ class TestMixedRunBlocks:
         outcomes = run_blocks(pairs)
         for (experiment, seed), outcome in zip(pairs, outcomes):
             if experiment is drowned:
-                with pytest.raises(Exception) as raised:
+                with pytest.raises(SimulationError) as raised:
                     experiment.run_block(seed)
                 assert (type(outcome), str(outcome)) == (raised.type, str(raised.value))
             else:
                 assert outcome == count_ber(*experiment.run_block(seed))
         assert outcomes[0] is not outcomes[2]
+
+
+@pytest.mark.parametrize("error", [adaptive.EqualizerDivergence, adaptive.ClockRecoveryError,
+                                   PayloadSyncError, SyncError, LoadingError])
+def test_domain_error_is_a_simulation_error(error):
+    assert issubclass(error, SimulationError)
+
+
+class TestFaultsPropagate:
+    """An exception other than a SimulationError is a fault of the program:
+    it leaves run_blocks and run_sweep instead of becoming a point's error."""
+
+    @staticmethod
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error")
+
+    def test_pam_front_end_fault(self, experiment, monkeypatch):
+        monkeypatch.setattr("imddsim.pam.pam_front_end", self.broken)
+        with pytest.raises(TypeError, match="a programming error"):
+            run_blocks([(experiment, 1)])
+        with pytest.raises(TypeError, match="a programming error"):
+            run_sweep([experiment], SweepSpec(values=(17.0,)))
+
+    def test_dmt_block_fault(self, monkeypatch):
+        monkeypatch.setattr(DmtExperiment, "run_block", self.broken)
+        experiment = DmtExperiment(cfg=DmtConfig(fft_length=256),
+                                   channel=make_channel("paper_b2b", seed=1), frames=1)
+        with pytest.raises(TypeError, match="a programming error"):
+            run_blocks([(experiment, 1)])
+        with pytest.raises(TypeError, match="a programming error"):
+            run_sweep([experiment], SweepSpec(values=(0.0,)))
+
 
 class TestLatency:
     def test_nyquist_ffe_paper_values(self):
