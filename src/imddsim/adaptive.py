@@ -1,8 +1,8 @@
 """Adaptive algorithms shared by the single-carrier chains.
 
-LMS feedforward equalization, maximum-likelihood sequence estimation via
-the Viterbi algorithm, the indirect-learning pre-emphasis trainer, and
-Gardner clock recovery.
+The receive FFE (a least-squares start on the known prefix, then one LMS
+pass), maximum-likelihood sequence estimation via the Viterbi algorithm,
+the indirect-learning pre-emphasis trainer, and Gardner clock recovery.
 """
 from __future__ import annotations
 
@@ -166,7 +166,7 @@ def _lms_pass_batch(
 
 @dataclass(eq=False)
 class EqualizedStream:
-    """LMS equalization result: converged taps and the symbol-rate output."""
+    """FFE equalization result: adapted taps and the symbol-rate output."""
 
     taps: FfeTaps
     output: np.ndarray
@@ -195,27 +195,65 @@ LMS_MU_DD = 1e-4
 """Decision-directed LMS step size, before the cap."""
 
 LMS_TRAIN_FRACTION = 0.1
-"""Share of a block the receive FFE trains data-aided in each pass."""
+"""Share of a block the receive FFE knows: its least-squares start is
+fitted there, and its LMS pass runs data-aided there."""
 
-LMS_TRAIN_PASSES = 4
-"""Adaptation sweeps of the receive FFE over its cyclic block."""
+LS_SCRATCH_BYTES = 2**23
+"""Most bytes of each array the receive FFE's least-squares start holds:
+the normal matrix, one chunk of windows and the chunk's product."""
+
+FFE_MAX_TAPS = math.isqrt(LS_SCRATCH_BYTES // 8) - 1
+"""Longest receive FFE whose normal matrix fits in `LS_SCRATCH_BYTES`
+(1,023 taps)."""
+
+
+def _ls_start(xp: np.ndarray, desired: np.ndarray, n_taps: int) -> np.ndarray:
+    """The least-squares FFE of one stream on its known prefix.
+
+    `xp` is the stream as `_lms_pass_batch` takes it (scaled, extended
+    cyclically by ``n_taps // 2`` on both sides) and `desired` the known
+    symbols of the prefix.  Row k of the fit is the reversed window the
+    LMS sees at sample k, so the taps apply as the LMS taps do.  The normal
+    equations ``R w = p`` are summed a chunk of rows at a time, so the
+    scratch stays within `LS_SCRATCH_BYTES` at any block length.  A
+    singular R (a prefix that cannot fix the taps, such as a constant
+    one) gets the minimum-norm solution.
+    """
+    n_train = desired.size
+    windows = sliding_window_view(xp, n_taps)[:n_train, ::-1]
+    rows = max(1, LS_SCRATCH_BYTES // (8 * n_taps))
+    r = np.zeros((n_taps, n_taps))
+    p = np.zeros(n_taps)
+    for start in range(0, n_train, rows):
+        chunk = np.ascontiguousarray(windows[start : start + rows])
+        r += chunk.T @ chunk
+        p += chunk.T @ desired[start : start + rows]
+    try:
+        return np.linalg.solve(r, p)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(r, p, rcond=None)[0]
 
 
 def lms_equalize(
     rx: np.ndarray | SampleBuffer,
     reference: SymbolSequence,
     n_taps: int,
-    train_passes: int = LMS_TRAIN_PASSES,
+    train_passes: int = 1,
 ) -> EqualizedStream:
     """Train an FFE on a cyclic symbol-rate block and equalize it.
 
-    Each adaptation sweep runs data-aided over the first
-    `LMS_TRAIN_FRACTION` of the block with the known reference symbols,
-    then decision-directed over the remainder; `train_passes` sweeps
-    re-anchor the delay before decisions can walk it.  The equalized output
-    is the block re-filtered with the converged taps.
+    The taps start from the least-squares fit on the first
+    `LMS_TRAIN_FRACTION` of the block, against the known reference
+    symbols there.  One LMS sweep then runs data-aided over that prefix
+    and decision-directed over the remainder.  The equalized output is the
+    block re-filtered with the adapted taps.
+
+    `train_passes` counts the LMS sweeps after the least-squares start;
+    only 1 is supported (the benchmark's span counter reads it by name).
     """
-    (result,) = _equalize_streams([rx], reference, n_taps, train_passes)
+    if train_passes != 1:
+        raise ValueError(f"the receive FFE runs one LMS pass, got train_passes={train_passes}")
+    (result,) = lms_equalize_batch([rx], reference, n_taps)
     if isinstance(result, EqualizerDivergence):
         raise result
     return result
@@ -229,19 +267,9 @@ def lms_equalize_batch(
     """:func:`lms_equalize` of each block in `streams` against one reference.
 
     Each stream gets what lms_equalize returns for it, or the
-    EqualizerDivergence it raises there.  The streams adapt in lockstep in
-    `_lms_pass_batch`.
+    EqualizerDivergence it raises there.  Each stream is fitted on its own;
+    the LMS sweeps of all streams run in lockstep in `_lms_pass_batch`.
     """
-    return _equalize_streams(streams, reference, n_taps, LMS_TRAIN_PASSES)
-
-
-def _equalize_streams(
-    streams: list[np.ndarray | SampleBuffer],
-    reference: SymbolSequence,
-    n_taps: int,
-    train_passes: int,
-) -> list[EqualizedStream | EqualizerDivergence]:
-    """The body of :func:`lms_equalize_batch`, with `train_passes` sweeps."""
     if n_taps < 1 or n_taps % 2 == 0:
         raise ValueError("FFE length must be odd and >= 1")
     levels = reference.alphabet
@@ -268,31 +296,22 @@ def _equalize_streams(
         np.multiply(x, gain, out=row[half : half + n])
         row[:half] = row[n : n + half]
         row[half + n :] = row[half : 2 * half]
-    w = np.zeros((len(gains), n_taps))
-    w[:, half] = 1.0
     n_train = max(int(LMS_TRAIN_FRACTION * n), min(n, 4 * n_taps))
+    w = np.stack([_ls_start(row, desired[:n_train], n_taps) for row in xp])
     failed: list[EqualizerDivergence | None] = [None] * len(gains)
-    mse_train = [np.inf] * len(gains)
-    # each sweep re-anchors data-aided on the known prefix, then tracks
-    # decision-directed across the remainder of the cyclic block
-    for _ in range(max(train_passes, 1)):
-        heads = _lms_pass_batch(xp, w, desired, levels, n_train, mu_train, mu_dd,
-                                failed, n_train)
-        for b, head in enumerate(heads):
-            if failed[b] is None:
-                mse = float(np.mean((head - desired[:n_train]) ** 2))
-                mse_train[b] = min(mse_train[b], mse)
-    # each block is then re-filtered with its converged taps
+    heads = _lms_pass_batch(xp, w, desired, levels, n_train, mu_train, mu_dd, failed, n_train)
+    # each block is then re-filtered with its adapted taps
     mids = (levels[1:] + levels[:-1]) / 2.0
     results: list[EqualizedStream | EqualizerDivergence] = []
     for b, gain in enumerate(gains):
         if failed[b] is not None:
             results.append(failed[b])
             continue
+        mse_train = float(np.mean((heads[b] - desired[:n_train]) ** 2))
         output = apply_taps_cyclic(xp[b, half : half + n], w[b])
         decided = levels[np.searchsorted(mids, output)]
         mse_final = float(np.mean((output - decided) ** 2))
-        results.append(EqualizedStream(FfeTaps(w[b] * gain), output, mse_train[b], mse_final))
+        results.append(EqualizedStream(FfeTaps(w[b] * gain), output, mse_train, mse_final))
     return results
 
 

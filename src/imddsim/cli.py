@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .adaptive import FFE_MAX_TAPS
 from .dmt import DmtConfig
 from .evaluate import (PREEMPHASIS_MAX_TAPS, DmtExperiment, PamExperiment, SweepSpec,
                        latency_budget, run_sweep)
@@ -246,6 +247,9 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
     elif cfg.rx_taps > 4**cfg.payload_order:
         errors.append(f"pam.rx_taps: must be <= {4**cfg.payload_order}, the symbols of a "
                       f"payload_order {cfg.payload_order} block, got {cfg.rx_taps}")
+    elif cfg.rx_taps > FFE_MAX_TAPS:
+        errors.append(f"pam.rx_taps: must be <= {FFE_MAX_TAPS}, the most the receive "
+                      f"FFE's least-squares start fits, got {cfg.rx_taps}")
     for key, value in (("pam.tx_taps", cfg.tx_taps), ("pam.rx_taps", cfg.rx_taps)):
         if value < 1 or value % 2 == 0:
             errors.append(f"{key}: FFE lengths must be odd and >= 1")

@@ -211,6 +211,8 @@ class PamRxConfig:
     partial_response: bool = False
 
     def __post_init__(self):
+        if self.mlse_memory is not None and self.mlse_memory < 1:
+            raise ValueError(f"MLSE memory must be >= 1 or None, got {self.mlse_memory}")
         if self.partial_response and self.mlse_memory is None:
             raise ValueError("partial-response reception needs an MLSE (memory >= 1)")
 
@@ -267,9 +269,9 @@ def pam_back_end(
     payload: SymbolSequence,
 ) -> list[np.ndarray | EqualizerDivergence]:
     """The receive chain from the FFE on for a batch of :func:`pam_front_end`
-    outputs of `payload`, block b received with ``cfgs[b]``: one LMS FFE
-    (data-aided then decision-directed) over the batch, each block's hard
-    decision or MLSE, then demap.
+    outputs of `payload`, block b received with ``cfgs[b]``: one FFE over
+    the batch (each block's least-squares start, then one LMS pass), each
+    block's hard decision or MLSE, then demap.
 
     The blocks share one FFE length and format.  Each gets its bits or,
     when it diverged, its EqualizerDivergence.  Every MLSE block, each on

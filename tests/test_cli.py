@@ -124,6 +124,7 @@ fft_length = 300
          ("pr_pam4", "pam.mlse_memory", "0, 1"),
          ("nyquist_pam4", "pam.mlse_memory", "-1, 1"),
          ("nyquist_pam4", "pam.rx_taps", "65537, 41"),
+         ("nyquist_pam4", "pam.rx_taps", "1025, 41"),
          ("nyquist_pam4", "pam.tx_taps", "9831, 11"),
          ("dmt", "dmt.clipping_ratio_db", "nan"),
          ("dmt", "dmt.clipping_ratio_db", "inf, 10"),
@@ -177,16 +178,18 @@ fft_length = 300
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "lines, key",
-        [("payload_order = 5\nrx_taps = 4097", "pam.rx_taps"),
-         ("payload_order = 6\ntx_taps = 9833", "pam.tx_taps")],
-        ids=["rx_taps_over_the_block", "tx_taps_over_the_probe"],
+        "lines, key, bound",
+        [("payload_order = 5\nrx_taps = 4097", "pam.rx_taps", 1024),
+         # the first odd length over the fit's bound of 1,023 (1,024 is even)
+         ("payload_order = 8\nrx_taps = 1025", "pam.rx_taps", 1023),
+         ("payload_order = 6\ntx_taps = 9833", "pam.tx_taps", 9830)],
+        ids=["rx_taps_over_the_block", "rx_taps_over_the_fit", "tx_taps_over_the_probe"],
     )
-    def test_ffe_over_its_bound_rejected(self, tmp_path, capsys, lines, key):
+    def test_ffe_over_its_bound_rejected(self, tmp_path, capsys, lines, key, bound):
         text = f"[experiment]\nformat = nyquist_pam4\n\n[pam]\n{lines}\n"
         path = write_cfg(tmp_path, text)
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert f"config error: {key}: must be <= " in capsys.readouterr().err
+        assert f"config error: {key}: must be <= {bound}, " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         # the longest FFE of each kind is a valid config
         longest = {"pam.rx_taps": "rx_taps = 1023", "pam.tx_taps": "tx_taps = 9829"}[key]

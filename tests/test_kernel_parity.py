@@ -3,8 +3,13 @@ plus pinned end-to-end block error counts.
 
 The oracles are the straightforward per-sample loops the kernels in
 :mod:`imddsim.adaptive` replace.  The kernels promise identical floats,
-so every comparison here is exact (``np.array_equal``), never a tolerance.
+so every kernel comparison here is exact (``np.array_equal``), never a
+tolerance.  The receive FFE's least-squares start is the one exception:
+it sums its normal equations in chunks, so it is compared with
+``np.linalg.lstsq`` on the whole window matrix to a relative 1e-9.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +20,7 @@ from imddsim.adaptive import (
     EqualizerDivergence,
     MlseConfig,
     _lms_pass_batch,
+    _ls_start,
     _preemphasis_pass,
     apply_taps_cyclic,
     lms_equalize,
@@ -74,22 +80,19 @@ def oracle_lms_pass(x, w, desired, levels, n_train, mu_train, mu_dd):
 
 
 def oracle_lms_equalize(x, reference, n_taps):
-    """One block through the per-sample oracle: scale, four passes of
-    `oracle_lms_pass` from a center spike, re-filter with the converged taps."""
+    """One block through the per-sample oracle: scale, start from the
+    least-squares fit on the known prefix, one `oracle_lms_pass`, re-filter
+    with the adapted taps."""
     levels = reference.alphabet
     desired = reference.levels
     power = float(np.mean(levels**2))
     gain = np.sqrt(power / max(np.mean(x**2), 1e-30))
     x = x * gain
     mu_cap = 0.05 * 2.0 / (n_taps * power)
-    w = np.zeros(n_taps)
-    w[n_taps // 2] = 1.0
     n_train = max(int(0.1 * x.size), min(x.size, 4 * n_taps))
-    mse_train = np.inf
-    for _ in range(4):
-        out = oracle_lms_pass(x, w, desired, levels, n_train, min(1e-3, mu_cap),
-                              min(1e-4, mu_cap))
-        mse_train = min(mse_train, float(np.mean((out[:n_train] - desired[:n_train]) ** 2)))
+    w = _ls_start(padded([x], n_taps)[0], desired[:n_train], n_taps)
+    out = oracle_lms_pass(x, w, desired, levels, n_train, min(1e-3, mu_cap), min(1e-4, mu_cap))
+    mse_train = float(np.mean((out[:n_train] - desired[:n_train]) ** 2))
     output = apply_taps_cyclic(x, w)
     mids = (levels[1:] + levels[:-1]) / 2.0
     mse_final = float(np.mean((output - levels[np.searchsorted(mids, output)]) ** 2))
@@ -337,6 +340,55 @@ class TestLmsBatchParity:
 
 
 # ---------------------------------------------------------------------------
+# the least-squares start: the fit on the whole window matrix
+# ---------------------------------------------------------------------------
+
+def window_matrix(x, n_taps, n_train):
+    """Row k: the reversed window of the cyclic block `x` the LMS sees at k."""
+    xp = padded([x], n_taps)[0]
+    return np.array([xp[k : k + n_taps][::-1] for k in range(n_train)])
+
+
+class TestLsStart:
+    @pytest.mark.parametrize("scratch", [2**23, 2**14], ids=["one_chunk", "chunks"])
+    @pytest.mark.parametrize("n_taps", [1, 21, 41])
+    def test_matches_lstsq_on_the_window_matrix(self, monkeypatch, scratch, n_taps):
+        monkeypatch.setattr(adaptive, "LS_SCRATCH_BYTES", scratch)
+        (x,), reference = colored_streams(5000, 1, seed=9)
+        desired = reference.levels[:700]
+        w = _ls_start(padded([x], n_taps)[0], desired, n_taps)
+        ref, *_ = np.linalg.lstsq(window_matrix(x, n_taps, 700), desired, rcond=None)
+        np.testing.assert_allclose(w, ref, rtol=1e-9, atol=1e-12)
+
+    def test_singular_prefix_gets_the_minimum_norm_fit(self):
+        # a constant block: every window is the same, so R has rank 1
+        x = np.full(4096, 2.0)
+        desired = colored_streams(4096, 1, seed=2)[1].levels[:500]
+        w = _ls_start(padded([x], 11)[0], desired, 11)
+        ref, *_ = np.linalg.lstsq(window_matrix(x, 11, 500), desired, rcond=None)
+        np.testing.assert_allclose(w, ref, rtol=1e-9)
+
+    def test_scratch_does_not_grow_with_the_prefix(self, monkeypatch):
+        # the whole 20,000 x 31 window matrix would be 4.96 MB
+        monkeypatch.setattr(adaptive, "LS_SCRATCH_BYTES", 2**16)
+        (x,), reference = colored_streams(20000, 1, seed=4)
+        xp = padded([x], 31)[0]
+        desired = reference.levels
+        tracemalloc.start()
+        try:
+            _ls_start(xp, desired, 31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**16
+
+    def test_max_taps_fill_the_scratch(self):
+        assert adaptive.FFE_MAX_TAPS == 1023
+        assert 8 * adaptive.FFE_MAX_TAPS**2 <= adaptive.LS_SCRATCH_BYTES
+        assert 8 * (adaptive.FFE_MAX_TAPS + 2) ** 2 > adaptive.LS_SCRATCH_BYTES
+
+
+# ---------------------------------------------------------------------------
 # MLSE
 # ---------------------------------------------------------------------------
 
@@ -490,9 +542,9 @@ class TestGoldenBlockCounts:
     @pytest.mark.parametrize(
         "rx, errors",
         [
-            (PamRxConfig(n_ffe_taps=41), 199),
-            (PamRxConfig(n_ffe_taps=41, mlse_memory=2), 150),
-            (PamRxConfig(n_ffe_taps=21, mlse_memory=2, partial_response=True), 114),
+            (PamRxConfig(n_ffe_taps=41), 194),
+            (PamRxConfig(n_ffe_taps=41, mlse_memory=2), 149),
+            (PamRxConfig(n_ffe_taps=21, mlse_memory=2, partial_response=True), 97),
         ],
         ids=["nyquist_hard", "nyquist_ffe_mlse2", "pr_mlse2"],
     )

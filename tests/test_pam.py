@@ -244,6 +244,13 @@ class TestReceive:
         with pytest.raises(ValueError):
             PamRxConfig(partial_response=True, mlse_memory=None)
 
+    @pytest.mark.parametrize("memory", [0, -2])
+    @pytest.mark.parametrize("partial", [False, True], ids=["nyquist", "pr"])
+    def test_mlse_memory_below_one_rejected(self, memory, partial):
+        # None is the hard decision; 0 and below are no trellis at all
+        with pytest.raises(ValueError, match="MLSE memory must be >= 1 or None"):
+            PamRxConfig(mlse_memory=memory, partial_response=partial)
+
 
 class TestClockPhaseAcrossNoiseSeeds:
     """The Gardner phase of one received 131,072-bit block at noise seeds
