@@ -203,8 +203,8 @@ LS_SCRATCH_BYTES = 2**23
 the normal matrix, one chunk of windows and the chunk's product."""
 
 FFE_MAX_TAPS = math.isqrt(LS_SCRATCH_BYTES // 8) - 1
-"""Longest receive FFE whose normal matrix fits in `LS_SCRATCH_BYTES`
-(1,023 taps)."""
+"""Longest FFE whose normal matrix fits in `LS_SCRATCH_BYTES` (1,023
+taps): the receive FFE and the pre-emphasis trainer each solve one."""
 
 
 def _ls_start(xp: np.ndarray, desired: np.ndarray, n_taps: int) -> np.ndarray:
@@ -514,61 +514,65 @@ PREEMPHASIS_MU = 5e-4
 """LMS step size of the pre-emphasis trainer."""
 
 PREEMPHASIS_PASSES = 3
-"""Adaptation sweeps of the pre-emphasis trainer over its cyclic probe."""
+"""LMS sweeps over the cyclic probe that the trainer's closed form stands for."""
 
 PREEMPHASIS_SAMPLES_PER_TAP = 10
 """Fewest probe samples the pre-emphasis trainer takes per tap."""
 
 
-def _preemphasis_pass(x: np.ndarray, w: np.ndarray, desired: np.ndarray, mu: float,
-                      power: float) -> None:
-    """One data-aided LMS sweep of `w` over the cyclic waveform `x` towards
-    the known waveform `desired`; mutates `w` in place.  Raises
-    EqualizerDivergence as `_lms_pass_batch` does, against the alphabet
-    power `power`.
+def _probe_normal_equations(x: np.ndarray, desired: np.ndarray,
+                            n_taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The normal equations ``R w = p`` of the taps over the cyclic probe.
 
-    Bit-exact to the per-sample recursion ``w += mu * (d - w @ win) * win``
-    with ``win = xp[k : k + n_taps][::-1]``: ``@`` on a row of the reversed
-    sliding-window view sums the products in tap order (``np.dot`` copies
-    to BLAS, which rounds differently), and the update multiplies into
-    scratch, then adds, with no fused multiply-add.
+    Row k of the window matrix W is the reversed window the taps see at
+    sample k (tap j multiplies ``x[k + half - j]``); ``R = Wᵀ W / n`` and
+    ``p = Wᵀ d / n``.  On a cyclic probe R is Toeplitz, with the cyclic
+    autocorrelation of `x` at lag ``i - j`` in entry ``(i, j)``, and ``p[i]``
+    is the cyclic cross-correlation of `desired` with `x` at lag
+    ``half - i``: one FFT correlation each, no window matrix.
     """
     n = x.size
-    n_taps = w.size
     half = n_taps // 2
-    xp = np.concatenate((x[-half:], x, x[:half])) if half else x
-    windows = sliding_window_view(xp, n_taps)[:, ::-1]
-    step = np.empty(n_taps)
-    first_window_mse = None
-    window = 2048
-    for start in range(0, n, window):
-        stop = min(start + window, n)
-        err_acc = 0.0
-        for d, win in zip(desired[start:stop].tolist(), windows[start:stop]):
-            e = d - float(w @ win)
-            if not -1e60 < e < 1e60:
-                raise EqualizerDivergence(mu, abs(e))
-            np.multiply(win, mu * e, out=step)
-            np.add(w, step, out=w)
-            err_acc += e * e
-        if stop - start == window:
-            mse = err_acc / window
-            if not math.isfinite(mse) or mse > 1e6 * power:
-                raise EqualizerDivergence(mu, mse)
-            if first_window_mse is None:
-                first_window_mse = max(mse, 1e-12)
-            elif mse > 100.0 * first_window_mse and mse > 10.0 * power:
-                raise EqualizerDivergence(mu, mse)
+    spectrum = np.fft.rfft(x)
+    auto = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n) / n
+    cross = np.fft.irfft(np.fft.rfft(desired).conj() * spectrum, n) / n
+    lags = np.arange(n_taps)
+    return auto[np.abs(lags[:, np.newaxis] - lags)], cross[(half - lags) % n]
+
+
+def _mean_lms(r: np.ndarray, p: np.ndarray, w0: np.ndarray, mu: float, k: int) -> np.ndarray:
+    """`k` steps of the LMS mean-weight recursion ``w += mu (p - R w)`` from
+    `w0`, in closed form over one eigendecomposition of R:
+    ``w_k = w* + (I - mu R)^k (w0 - w*)`` with ``R w* = p``.  Raises
+    EqualizerDivergence when ``mu max(eig R) >= 2``: there it has no bound."""
+    lam, q = np.linalg.eigh(r)
+    step = mu * np.maximum(lam, 0.0)
+    if step[-1] >= 2.0:
+        raise EqualizerDivergence(mu, math.inf)
+    # (1 - mu λ)^k from log|1 - mu λ|, exact where mu λ k is small; past
+    # mu λ = 1 the factor alternates in sign
+    with np.errstate(divide="ignore"):  # mu λ = 1 exactly: the factor is 0
+        log_decay = k * np.log1p(-np.minimum(step, 2.0 - step))
+    decay = np.exp(log_decay) * np.where(step > 1.0, (-1.0) ** k, 1.0)
+    # (1 - (1 - mu λ)^k) / λ, and its limit mu k where λ <= 0
+    rise = np.where(decay < 0, 1.0 - decay, -np.expm1(log_decay))
+    reach = np.divide(rise, lam, out=np.full(lam.size, mu * k), where=lam > 0)
+    return q @ (decay * (q.T @ w0) + reach * (q.T @ p))
 
 
 def train_preemphasis_waveform(probe: SampleBuffer, observed: SampleBuffer, n_taps: int) -> FfeTaps:
     """Indirect-learning pre-emphasis trainer for a known probe waveform.
 
-    Purely data-aided LMS learns a postdistorter W with W(observed) ~
-    probe; installed before the transmitter, W pre-compensates its linear
+    Data-aided LMS learns a postdistorter W with W(observed) ~ probe;
+    installed before the transmitter, W pre-compensates its linear
     response, so |W x H_tx| is flat across the band the probe excites.  A
     shaped probe keeps the learned boost inside the band the format
     occupies.
+
+    The taps are where `PREEMPHASIS_PASSES` sweeps of LMS at
+    `PREEMPHASIS_MU` from a center spike go in the mean, in closed form
+    (`_mean_lms`).  The small step stops them early, short of the
+    least-squares fit, and that early stop is the regularizer.
     """
     if len(probe) != len(observed):
         raise ValueError("probe and observed waveforms must align sample-for-sample")
@@ -578,13 +582,9 @@ def train_preemphasis_waveform(probe: SampleBuffer, observed: SampleBuffer, n_ta
     desired = probe.samples
     x = observed.samples
     gain = np.sqrt(np.mean(desired**2) / max(np.mean(x**2), 1e-30))
-    x = x * gain
-    # the divergence checks scale with the power of the probe's extremes
-    power = float(np.mean(np.array([np.min(desired), np.max(desired) + 1e-9]) ** 2))
-    w = np.zeros(n_taps)
-    w[n_taps // 2] = 1.0
-    for _ in range(PREEMPHASIS_PASSES):
-        _preemphasis_pass(x, w, desired, PREEMPHASIS_MU, power)
+    r, p = _probe_normal_equations(x * gain, desired, n_taps)
+    spike = np.eye(1, n_taps, n_taps // 2)[0]
+    w = _mean_lms(r, p, spike, PREEMPHASIS_MU, PREEMPHASIS_PASSES * x.size)
     return FfeTaps(w * gain)
 
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .adaptive import FFE_MAX_TAPS
 from .dmt import DmtConfig
-from .evaluate import (PREEMPHASIS_MAX_TAPS, DmtExperiment, PamExperiment, SweepSpec,
-                       latency_budget, run_sweep)
+from .evaluate import DmtExperiment, PamExperiment, SweepSpec, latency_budget, run_sweep
 from .link import CHANNEL_PRESETS, make_channel, preset_summary
 from .pam import PamRxConfig
 from .sigproc import SimulationError
@@ -253,9 +252,9 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
     for key, value in (("pam.tx_taps", cfg.tx_taps), ("pam.rx_taps", cfg.rx_taps)):
         if value < 1 or value % 2 == 0:
             errors.append(f"{key}: FFE lengths must be odd and >= 1")
-    if cfg.tx_taps > PREEMPHASIS_MAX_TAPS:
-        errors.append(f"pam.tx_taps: must be <= {PREEMPHASIS_MAX_TAPS}, the most the "
-                      f"pre-emphasis probe trains, got {cfg.tx_taps}")
+    if cfg.tx_taps > FFE_MAX_TAPS:
+        errors.append(f"pam.tx_taps: must be <= {FFE_MAX_TAPS}, the most the pre-emphasis "
+                      f"trainer solves, got {cfg.tx_taps}")
     memory = cfg.mlse_memory
     if cfg.format == "pr_pam4":
         if memory is None:

@@ -18,7 +18,7 @@ import numpy as np
 from . import dmt as dmt_mod
 from . import link as link_mod
 from . import pam as pam_mod
-from .adaptive import PREEMPHASIS_SAMPLES_PER_TAP, train_preemphasis_waveform
+from .adaptive import train_preemphasis_waveform
 from .link import ChannelModel, apply_channel
 # raised_cosine_shape is unused here, and train_preemphasis names the one
 # trainer: both stay bound because perfbench/spans.py wraps them by name
@@ -86,9 +86,6 @@ def _payload(order: int) -> SymbolSequence:
 
 _PROBE_ORDER = 8  # the pre-emphasis probe: 4**8 symbols, 98,304 DAC samples
 
-PREEMPHASIS_MAX_TAPS = int(4**_PROBE_ORDER * pam_mod.OVERSAMPLE) // PREEMPHASIS_SAMPLES_PER_TAP
-"""Most pre-emphasis taps the probe trains."""
-
 
 @lru_cache(maxsize=8)
 def _trained_preemphasis(n_taps: int, dac_rate: float, partial_response: bool) -> tuple[float, ...]:
@@ -130,21 +127,23 @@ class PamExperiment:
         return "pr_pam4" if self.rx.partial_response else "nyquist_pam4"
 
     def resolve_tx(self) -> pam_mod.PamTxConfig:
-        """The transmitter: the receiver's symbol rate and format, the
-        format's clipping ratio, pre-emphasis trained with
-        `tx_preemphasis_taps` taps (none when None) and, on a link with the
-        EML, drive levels that pre-compensate its curve."""
+        """The transmitter: the receiver's symbol rate and format and the
+        format's clipping ratio.  On the hardware link it also gets
+        pre-emphasis trained on `link.TX_DRIVER_STAGES` with
+        `tx_preemphasis_taps` taps (none when None) and drive levels that
+        pre-compensate the EML's curve; a link without that hardware has
+        nothing for either to compensate."""
         tx = pam_mod.PamTxConfig(
             symbol_rate=self.rx.symbol_rate,
             partial_response=self.rx.partial_response,
             clipping_ratio_db=PAM_CLIPPING_DB[self.format_name],
         )
+        if not self.channel.hardware:
+            return tx
         if self.tx_preemphasis_taps is not None:
             taps = _trained_preemphasis(self.tx_preemphasis_taps, tx.dac_rate, tx.partial_response)
             tx = replace(tx, pre_emphasis_taps=taps)
-        if self.channel.hardware:
-            tx = replace(tx, level_adjust=pam_mod.level_adjustment_for_eml(tx.n_levels))
-        return tx
+        return replace(tx, level_adjust=pam_mod.level_adjustment_for_eml(tx.n_levels))
 
     def run_block(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         bits, received = self._received(seed)

@@ -182,8 +182,8 @@ fft_length = 300
         [("payload_order = 5\nrx_taps = 4097", "pam.rx_taps", 1024),
          # the first odd length over the fit's bound of 1,023 (1,024 is even)
          ("payload_order = 8\nrx_taps = 1025", "pam.rx_taps", 1023),
-         ("payload_order = 6\ntx_taps = 9833", "pam.tx_taps", 9830)],
-        ids=["rx_taps_over_the_block", "rx_taps_over_the_fit", "tx_taps_over_the_probe"],
+         ("payload_order = 6\ntx_taps = 1025", "pam.tx_taps", 1023)],
+        ids=["rx_taps_over_the_block", "rx_taps_over_the_fit", "tx_taps_over_the_fit"],
     )
     def test_ffe_over_its_bound_rejected(self, tmp_path, capsys, lines, key, bound):
         text = f"[experiment]\nformat = nyquist_pam4\n\n[pam]\n{lines}\n"
@@ -192,7 +192,7 @@ fft_length = 300
         assert f"config error: {key}: must be <= {bound}, " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         # the longest FFE of each kind is a valid config
-        longest = {"pam.rx_taps": "rx_taps = 1023", "pam.tx_taps": "tx_taps = 9829"}[key]
+        longest = {"pam.rx_taps": "rx_taps = 1023", "pam.tx_taps": "tx_taps = 1023"}[key]
         parse_config(write_cfg(tmp_path, text.replace(lines.split("\n")[1], longest)))
 
     @pytest.mark.parametrize(
@@ -336,8 +336,7 @@ format = nyquist_pam4
 seed = 2
 
 [channel]
-preset = awgn_only
-snr_db = 18
+preset = paper_b2b
 
 [pam]
 payload_order = 6
@@ -358,6 +357,15 @@ values2 = 5, 11
         # the first point's 5 pre-emphasis taps, not the base config's 11
         taps = (tmp_path / "out" / "taps.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in taps[1:]] == ["-2", "-1", "0", "1", "2"]
+
+    def test_pam_without_hardware_writes_no_taps(self, tmp_path):
+        # a flat link has no driver to pre-compensate: no taps, no taps.csv
+        text = ("[experiment]\nformat = nyquist_pam4\n\n[channel]\npreset = ideal\n"
+                "\n[pam]\npayload_order = 6\ntx_taps = 11\nmlse_memory = none\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+        assert (out / "ber_vs_rop.csv").exists()
+        assert not (out / "taps.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         text = """
@@ -407,7 +415,7 @@ format = nyquist_pam4
 seed = 1
 
 [channel]
-preset = ideal
+preset = paper_b2b
 
 [pam]
 payload_order = 6

@@ -1,5 +1,6 @@
 """Tests for the measurement and experiment layer."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,12 @@ from imddsim import adaptive
 from imddsim.cli import _fmt, _result_rows, _write_csv
 from imddsim.dmt import DmtConfig, LoadingError, SyncError
 from imddsim.evaluate import (
-    PREEMPHASIS_MAX_TAPS,
     BerReport,
     DmtExperiment,
     PamExperiment,
     SweepPoint,
     SweepSpec,
+    _PROBE_ORDER,
     _trained_preemphasis,
     count_ber,
     latency_budget,
@@ -24,7 +25,7 @@ from imddsim.evaluate import (
     wilson_interval,
 )
 from imddsim.link import CHANNEL_PRESETS, make_channel
-from imddsim.pam import PamRxConfig, PayloadSyncError, level_adjustment_for_eml
+from imddsim.pam import OVERSAMPLE, PamRxConfig, PayloadSyncError, level_adjustment_for_eml
 from imddsim.sigproc import SampleBuffer, SimulationError
 
 
@@ -380,14 +381,30 @@ class TestResolveTx:
         assert tx.clipping_ratio_db == clipping_db
         assert tx.pre_emphasis_taps == _trained_preemphasis(11, tx.dac_rate, partial)
 
-    def test_tap_bound_is_the_trainers(self, monkeypatch):
-        # the longest pre-emphasis the probe trains, and one tap more is refused
-        monkeypatch.setattr(adaptive, "_preemphasis_pass", lambda *args: None)
+    def test_tap_bound_is_the_trainers(self):
+        # the longest pre-emphasis the CLI accepts trains on the probe, and
+        # the trainer holds its normal matrix, not a probe-long window matrix;
+        # a tap count the probe is too short for is refused before training
         train = _trained_preemphasis.__wrapped__  # past the cache
-        longest = PREEMPHASIS_MAX_TAPS - 1 + PREEMPHASIS_MAX_TAPS % 2  # odd
-        assert len(train(longest, 84e9, False)) == longest
+        probe_samples = int(4**_PROBE_ORDER * OVERSAMPLE)
         with pytest.raises(ValueError, match="probe too short"):
-            train(PREEMPHASIS_MAX_TAPS + 1, 84e9, False)
+            train(probe_samples // adaptive.PREEMPHASIS_SAMPLES_PER_TAP + 1, 84e9, False)
+        tracemalloc.start()
+        try:
+            taps = train(adaptive.FFE_MAX_TAPS, 84e9, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(taps) == adaptive.FFE_MAX_TAPS
+        assert np.isfinite(taps).all()
+        assert peak < 64e6
+
+    @pytest.mark.parametrize("preset", CHANNEL_PRESETS)
+    def test_preemphasis_only_on_the_hardware(self, preset):
+        tx = PamExperiment(rx=PamRxConfig(), channel=make_channel(preset)).resolve_tx()
+        hardware = preset.startswith("paper")
+        expected = _trained_preemphasis(11, tx.dac_rate, False) if hardware else None
+        assert tx.pre_emphasis_taps == expected
 
     @pytest.mark.parametrize("preset", CHANNEL_PRESETS)
     def test_level_adjustment_only_with_the_eml(self, preset):
@@ -409,6 +426,13 @@ class TestExperimentPipelines:
         )
         tx_bits, rx_bits = exp.run_block(seed=1)
         assert count_ber(tx_bits, rx_bits).ber == 0.0
+
+    def test_pam_ideal_loopback_with_preemphasis_taps(self):
+        # the paper's 11 pre-emphasis taps leave a flat noiseless link error-free
+        exp = PamExperiment(rx=PamRxConfig(), channel=make_channel("ideal"), payload_order=7,
+                            tx_preemphasis_taps=11)
+        tx_bits, rx_bits = exp.run_block(seed=1)
+        assert count_ber(tx_bits, rx_bits).bit_errors == 0
 
     @pytest.mark.parametrize("n_taps", [11, 41])
     def test_pam_ideal_loopback_at_the_smallest_payload(self, n_taps):
