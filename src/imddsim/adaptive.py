@@ -47,12 +47,6 @@ class FfeTaps:
     def __len__(self) -> int:
         return self.coefficients.size
 
-    def frequency_response(self, freqs: np.ndarray, sample_rate: float) -> np.ndarray:
-        """Zero-phase-referenced response (center tap at delay 0)."""
-        n = np.arange(len(self)) - len(self) // 2
-        phases = np.exp(-2j * np.pi * np.outer(freqs, n) / sample_rate)
-        return phases @ self.coefficients
-
 
 # ---------------------------------------------------------------------------
 # LMS feedforward equalizer

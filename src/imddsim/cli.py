@@ -200,6 +200,12 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
             f"channel.snr_db: preset {cfg.preset!r} sets its own noise; "
             "an SNR applies only to preset 'awgn_only'"
         )
+    if ("pam.tx_taps" in swept and cfg.preset in CHANNEL_PRESETS
+            and not make_channel(cfg.preset).hardware):
+        errors.append(
+            f"pam.tx_taps: preset {cfg.preset!r} has no transmitter hardware to "
+            "pre-compensate; a tx_taps sweep applies only to the paper_* presets"
+        )
 
     if not errors:
         try:
@@ -324,8 +330,8 @@ def build_experiment(cfg: ExperimentConfig):
     )
 
 
-def _latency_for(cfg: ExperimentConfig):
-    distance = make_channel(cfg.preset).fiber_km
+def _latency_for(cfg: ExperimentConfig, experiment):
+    distance = experiment.channel.fiber_km
     if cfg.format == "dmt":
         return latency_budget("dmt", distance, fft_length=cfg.fft_length,
                               cp_fraction=cfg.cp_fraction)
@@ -343,8 +349,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     out.mkdir(parents=True, exist_ok=True)
     points = point_configs(cfg)
     names = [key for key in (cfg.sweep_parameter, cfg.sweep_parameter2) if key] or ["voa_db"]
-    spec = SweepSpec(values=tuple(values for values, _ in points), blocks=cfg.blocks,
-                     base_seed=cfg.seed)
+    spec = SweepSpec(blocks=cfg.blocks, base_seed=cfg.seed)
     experiments = [build_experiment(point) for _, point in points]
     results = run_sweep(experiments, spec, jobs=jobs)
 
@@ -354,7 +359,8 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     else:
         _write_csv(out / "ber_vs_rop.csv", _result_rows(
             [names[0], "rop_dbm"],
-            [[_fmt(values[0]), f"{_rop_dbm(point):.6g}"] for values, point in points],
+            [[_fmt(values[0]), f"{experiment.channel.rop_dbm:.6g}"]
+             for (values, _), experiment in zip(points, experiments)],
             results))
 
     # the loading table, the pre-emphasis taps and the latency budget are
@@ -373,20 +379,14 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
             _write_csv(out / "taps.csv", [["index", "coefficient"]] + [
                 [str(i - len(taps) // 2), f"{c:.12g}"] for i, c in enumerate(taps)])
 
-    budget = _latency_for(points[0][1])
+    budget = _latency_for(points[0][1], experiment)
     (out / "latency.txt").write_text(budget.summary() + "\n")
-    _write_summary(cfg, names, points, results, budget, out / "summary.txt")
+    _write_summary(cfg, names, points, experiments, results, budget, out / "summary.txt")
 
-    failed = [p for p in results if p.report is None]
-    if failed:
-        for point in failed:
-            print(f"point {point.values}: {point.error}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _rop_dbm(cfg: ExperimentConfig) -> float:
-    return make_channel(cfg.preset, voa_db=cfg.voa_db).rop_dbm
+    failed = [(values, p) for (values, _), p in zip(points, results) if p.report is None]
+    for values, point in failed:
+        print(f"point {values}: {point.error}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def _write_csv(path, rows) -> None:
@@ -425,7 +425,7 @@ def _loading_rows(loading) -> list[list[str]]:
     return rows
 
 
-def _write_summary(cfg, names, points, results, budget, path) -> None:
+def _write_summary(cfg, names, points, experiments, results, budget, path) -> None:
     # a swept VOA has no one value; each point line gives its own
     voa = "" if "channel.voa_db" in names else f" (voa {cfg.voa_db:g} dB)"
     lines = [
@@ -436,7 +436,7 @@ def _write_summary(cfg, names, points, results, budget, path) -> None:
         "",
         "points:",
     ]
-    for (values, point_cfg), point in zip(points, results):
+    for (values, _), experiment, point in zip(points, experiments, results):
         label = ", ".join(f"{n}={v}" for n, v in zip(names, values))
         if point.report is None:
             lines.append(f"  {label}: FAILED ({point.error})")
@@ -446,7 +446,7 @@ def _write_summary(cfg, names, points, results, budget, path) -> None:
             f"{name}:{'pass' if ok else 'fail'}" for name, ok in sorted(r.threshold_results.items())
         )
         if cfg.sweep_parameter in (None, "channel.voa_db"):
-            label += f" (rop {_rop_dbm(point_cfg):+.2f} dBm)"
+            label += f" (rop {experiment.channel.rop_dbm:+.2f} dBm)"
         lines.append(f"  {label}: ber {r.ber:.3e} [{r.bit_errors}/{r.bits_total}] {verdicts}")
     lines += ["", budget.summary(), ""]
     Path(path).write_text("\n".join(lines))

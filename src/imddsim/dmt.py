@@ -375,18 +375,12 @@ def training_symbols(loading: LoadingTable, cfg: DmtConfig) -> np.ndarray:
 
 
 def _hermitian_time_symbols(carriers: np.ndarray, cfg: DmtConfig) -> np.ndarray:
-    """Carrier matrix (n_symbols, usable) to real time-domain symbols via
-    the Hermitian-symmetric inverse FFT; returns (n_symbols, fft_length)."""
-    n_sym = carriers.shape[0]
-    n = cfg.fft_length
-    spectrum = np.zeros((n_sym, n), dtype=np.complex128)
+    """Carrier matrix (n_symbols, usable) to real time-domain symbols: the
+    inverse real FFT of bins 1 .. usable, with DC and Nyquist empty;
+    returns (n_symbols, fft_length)."""
+    spectrum = np.zeros((carriers.shape[0], cfg.fft_length // 2 + 1), dtype=np.complex128)
     spectrum[:, 1 : cfg.usable_carriers + 1] = carriers
-    spectrum[:, n - cfg.usable_carriers :] = np.conj(carriers[:, ::-1])
-    time_sym = fft_pow2(spectrum, inverse=True)
-    residue = np.max(np.abs(time_sym.imag)) / max(np.max(np.abs(time_sym.real)), 1e-30)
-    if residue > 1e-9:
-        raise AssertionError(f"Hermitian symmetry violated, imag residue {residue:.2e}")
-    return time_sym.real
+    return fft_pow2(spectrum, inverse=True)
 
 
 def _with_prefix(time_sym: np.ndarray, cfg: DmtConfig) -> np.ndarray:

@@ -214,28 +214,21 @@ def _dmt_loading(cfg: dmt_mod.DmtConfig,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """The points of a sweep: one label per point, blocks, base seed.
+    """How every point of a sweep runs: `blocks` independent noise
+    realizations, seeded by base_seed XOR a multiple of the point index."""
 
-    `values[i]` labels point i; the CLI labels each point with the tuple
-    of its swept values.  Each point runs `blocks` independent noise
-    realizations seeded by base_seed XOR a multiple of the point index.
-    """
-
-    values: tuple
     blocks: int = 1
     base_seed: int = 1
 
     def __post_init__(self):
-        if len(self.values) < 1:
-            raise ValueError("sweep needs at least one value")
         if self.blocks < 1:
             raise ValueError("sweep needs at least one block per point")
-        object.__setattr__(self, "values", tuple(self.values))
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    values: tuple
+    """A point's summed blocks, or the error of its first failed block."""
+
     report: BerReport | None
     error: str | None = None
 
@@ -301,23 +294,23 @@ def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
 
 
 def _run_points(experiments, spec: SweepSpec, indices) -> list[SweepPoint]:
-    """Points `indices` of `spec`, `experiments[k]` for point `indices[k]`,
+    """The sweep points at `indices`, `experiments[k]` at index `indices[k]`,
     all their blocks in one :func:`run_blocks`.  A point sums its blocks,
     or reports the first that failed."""
     pairs = [(e, (spec.base_seed ^ (i * 0x9E3779B1)) + 7919 * b)
              for e, i in zip(experiments, indices) for b in range(spec.blocks)]
     outcomes = run_blocks(pairs)
     points = []
-    for k, i in enumerate(indices):
+    for k in range(len(indices)):
         blocks = outcomes[k * spec.blocks : (k + 1) * spec.blocks]
         failed = [o for o in blocks if isinstance(o, SimulationError)]
         if failed:
             error = f"{type(failed[0]).__name__}: {failed[0]}"
-            points.append(SweepPoint(spec.values[i], None, error))
+            points.append(SweepPoint(None, error))
             continue
         errors = sum(report.bit_errors for report in blocks)
         total = sum(report.bits_total for report in blocks)
-        points.append(SweepPoint(spec.values[i], BerReport(errors, total)))
+        points.append(SweepPoint(BerReport(errors, total)))
     return points
 
 
@@ -328,7 +321,7 @@ def run_point(experiment, spec: SweepSpec, index: int) -> SweepPoint:
 
 def run_sweep(experiments, spec: SweepSpec, jobs: int = 1) -> tuple[SweepPoint, ...]:
     """Run the full transmit-channel-receive-count pipeline per point,
-    `experiments[i]` for point i of `spec`; one SweepPoint per point.
+    `experiments[i]` for point i; one SweepPoint per point.
 
     Deterministic under the per-point seed policy regardless of `jobs`; point
     failures are recorded and the sweep continues.  With one job, the
@@ -336,8 +329,8 @@ def run_sweep(experiments, spec: SweepSpec, jobs: int = 1) -> tuple[SweepPoint, 
     blocks of different points share a batched equalizer; with more, each
     worker runs whole points, on at most one worker per point.
     """
-    if len(experiments) != len(spec.values):
-        raise ValueError(f"{len(experiments)} experiments for {len(spec.values)} sweep points")
+    if not experiments:
+        raise ValueError("sweep needs at least one point")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

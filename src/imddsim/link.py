@@ -18,7 +18,7 @@ ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -255,7 +255,6 @@ class ChannelModel:
     the hardware link.
     """
 
-    name: str = "custom"
     hardware: bool = False
     fiber_km: float = 0.0
     voa_db: float = 0.0
@@ -321,35 +320,33 @@ def apply_channel(tx: SampleBuffer, model: ChannelModel, seed: int | None = None
 # the measured sensitivity region.  Model fit, not ground truth.
 PAPER_NOISE_SIGMA = 0.003
 
+_PAPER_NOISE = NoiseSpec(sigma=PAPER_NOISE_SIGMA)
 
-def _paper_channel(name: str, fiber_km: float, voa_db: float, seed: int) -> ChannelModel:
-    return ChannelModel(name=name, hardware=True, fiber_km=fiber_km, voa_db=voa_db,
-                        noise=NoiseSpec(sigma=PAPER_NOISE_SIGMA), seed=seed)
+_PRESETS = {
+    "ideal": ChannelModel(),  # all stages flat, zero noise (identity link)
+    "awgn_only": ChannelModel(noise=NoiseSpec(snr_db=20.0)),  # flat, AWGN at an SNR
+    "paper_b2b": ChannelModel(hardware=True, noise=_PAPER_NOISE),  # 0 km fiber
+    "paper_10km": ChannelModel(hardware=True, fiber_km=10.0, noise=_PAPER_NOISE),
+    "paper_20km": ChannelModel(hardware=True, fiber_km=20.0, noise=_PAPER_NOISE),
+}
+"""The preset catalogue: each named link at VOA 0 dB and seed 0."""
+
+CHANNEL_PRESETS = tuple(_PRESETS)
 
 
-def make_channel(preset: str, voa_db: float = 0.0, seed: int = 0, snr_db: float = 20.0) -> ChannelModel:
-    """Build one of the named channel presets.
+def make_channel(preset: str, voa_db: float = 0.0, seed: int = 0,
+                 snr_db: float | None = None) -> ChannelModel:
+    """The link of a named preset (`CHANNEL_PRESETS`) with its noise seed.
 
-    ideal       all stages flat, zero noise (identity link)
-    awgn_only   flat link plus additive noise at `snr_db` vs signal power
-    paper_b2b   modeled hardware, 0 km fiber
-    paper_10km  modeled hardware, 10 km fiber
-    paper_20km  modeled hardware, 20 km fiber
+    `voa_db` attenuates only the hardware presets; `snr_db`, when given,
+    replaces only the SNR of `awgn_only`.
     """
-    if preset == "ideal":
-        return ChannelModel(name="ideal", seed=seed)
-    if preset == "awgn_only":
-        return ChannelModel(name="awgn_only", noise=NoiseSpec(snr_db=snr_db), seed=seed)
-    if preset == "paper_b2b":
-        return _paper_channel("paper_b2b", 0.0, voa_db, seed)
-    if preset == "paper_10km":
-        return _paper_channel("paper_10km", 10.0, voa_db, seed)
-    if preset == "paper_20km":
-        return _paper_channel("paper_20km", 20.0, voa_db, seed)
-    raise KeyError(preset)
-
-
-CHANNEL_PRESETS = ("ideal", "awgn_only", "paper_b2b", "paper_10km", "paper_20km")
+    model = replace(_PRESETS[preset], seed=seed)
+    if model.hardware:
+        return replace(model, voa_db=voa_db)
+    if model.noise.snr_db is not None and snr_db is not None:
+        return replace(model, noise=NoiseSpec(snr_db=snr_db))
+    return model
 
 
 def preset_summary(preset: str) -> str:

@@ -97,16 +97,18 @@ def _is_pow2(n: int) -> bool:
 
 
 def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """FFT along the last axis (power-of-two sizes only), via ``np.fft``.
+    """Real-signal FFT along the last axis (power-of-two sizes only), via ``np.fft``.
 
-    Vectorized over leading axes so a whole frame of DMT symbols transforms
-    in one call.  The inverse includes the 1/N scale.
+    Forward, N real samples give their N/2 + 1 bins from DC to Nyquist;
+    inverse, N/2 + 1 bins give the N real samples whose spectrum is those
+    bins and their Hermitian mirror, with the 1/N scale.  Vectorized over
+    leading axes so a whole frame of DMT symbols transforms in one call.
     """
     x = np.asarray(x)
-    n = x.shape[-1]
+    n = 2 * (x.shape[-1] - 1) if inverse else x.shape[-1]
     if not _is_pow2(n):
         raise ValueError(f"FFT size must be a power of two, got {n}")
-    return np.fft.ifft(x, axis=-1) if inverse else np.fft.fft(x, axis=-1)
+    return np.fft.irfft(x, n, axis=-1) if inverse else np.fft.rfft(x, axis=-1)
 
 
 # ---------------------------------------------------------------------------

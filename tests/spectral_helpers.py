@@ -29,3 +29,10 @@ def occupied_bandwidth(signal: SampleBuffer, threshold_db: float = -20.0, nfft: 
     if above.size == 0:
         return 0.0
     return 2.0 * float(freqs[above[-1]])
+
+
+def frequency_response(taps, freqs: np.ndarray, sample_rate: float) -> np.ndarray:
+    """Zero-phase-referenced response of FFE taps (center tap at delay 0)."""
+    n = np.arange(len(taps)) - len(taps) // 2
+    phases = np.exp(-2j * np.pi * np.outer(freqs, n) / sample_rate)
+    return phases @ taps.coefficients

@@ -18,9 +18,10 @@ from imddsim.cli import (
     point_configs,
 )
 from imddsim.evaluate import latency_budget
-from imddsim.link import CHANNEL_PRESETS
+from imddsim.link import CHANNEL_PRESETS, make_channel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+HARDWARE_PRESETS = [p for p in CHANNEL_PRESETS if make_channel(p).hardware]
 
 
 def write_cfg(tmp_path, text, name="test.cfg"):
@@ -115,6 +116,30 @@ fft_length = 300
             parse_config(write_cfg(tmp_path, text))
         assert len(err.value.errors) == 1
         assert err.value.errors[0].startswith("channel.snr_db: preset 'paper_b2b'")
+
+    @pytest.mark.parametrize(
+        "preset, override",
+        [("ideal", None), ("awgn_only", None), ("paper_b2b", "ideal")],
+        ids=["ideal", "awgn_only", "override"],
+    )
+    def test_tx_taps_sweep_needs_the_hardware(self, tmp_path, capsys, preset, override):
+        # a link without the driver stages installs no pre-emphasis: every
+        # point of the sweep would give the same row
+        text = (f"[experiment]\nformat = nyquist_pam4\n\n[channel]\npreset = {preset}\n"
+                "\n[sweep]\nparameter = pam.tx_taps\nvalues = 5, 11\n")
+        path = write_cfg(tmp_path, text)
+        flags = ["--preset", override] if override else []
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: pam.tx_taps: preset {override or preset!r} has no transmitter "
+            "hardware to pre-compensate; a tx_taps sweep applies only to the paper_* presets\n")
+        assert not (tmp_path / "out").exists()
+        # a fixed tap count there is accepted, and so is the sweep on the hardware
+        fixed = text.replace("\n[sweep]\nparameter = pam.tx_taps\nvalues = 5, 11\n",
+                             "\n[pam]\ntx_taps = 5\n")
+        parse_config(write_cfg(tmp_path, fixed, "fixed.cfg"), {"preset": override or preset})
+        for hardware in HARDWARE_PRESETS:
+            parse_config(path, {"preset": hardware})
 
     @pytest.mark.parametrize(
         "fmt, key, values",
@@ -264,7 +289,8 @@ class TestPointConfigs:
             section, name = key.split(".")
             formats = {"dmt": ["dmt"], "pam": ["nyquist_pam4", "pr_pam4"]}.get(section, FORMATS)
             fmt = data.draw(st.sampled_from(formats))
-            presets = ["awgn_only"] if key == "channel.snr_db" else CHANNEL_PRESETS
+            presets = {"channel.snr_db": ["awgn_only"],
+                       "pam.tx_taps": HARDWARE_PRESETS}.get(key, CHANNEL_PRESETS)
             preset = data.draw(st.sampled_from(presets))
             strategy = SWEEP_VALUES[key]
             if fmt == "pr_pam4" and key == "pam.mlse_memory":
@@ -465,6 +491,27 @@ mlse_memory = none
         assert rc == 2
         err = capsys.readouterr().err
         assert "point (40.0,)" in err and "Error" in err
+
+    def test_failed_point_reads_the_same_at_any_jobs(self, tmp_path, capsys):
+        # the second point's loading is infeasible; the workers and the
+        # serial loop give the same artifacts, and the CLI the same label
+        text = PAPER_DMT.replace("preset = paper_b2b", "preset = paper_20km").replace(
+            "clipping_ratio_db = 15", "clipping_ratio_db = 10\nframes = 1"
+        ) + "\n[sweep]\nparameter = channel.voa_db\nvalues = 0, 40\n"
+        cfg_path = write_cfg(tmp_path, text)
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 2
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((files, capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        files, err = runs[0]
+        assert sorted(files) == ["ber_vs_rop.csv", "latency.txt", "loading_table.csv",
+                                 "summary.txt"]
+        rows = files["ber_vs_rop.csv"].decode().splitlines()
+        assert rows[1].endswith(",") and rows[2].startswith("40,")
+        assert err.startswith("point (40,): ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

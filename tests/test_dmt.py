@@ -231,7 +231,7 @@ class TestModem:
                           fir_rate_hz=84e9)
         # a flat link applies no stages, so the FIR goes ahead of it
         dispersed = apply_stages(wave, (fir,))
-        rx_bits, _ = dmt_demodulate(apply_channel(dispersed, ChannelModel(name="disp")), loading, cfg)
+        rx_bits, _ = dmt_demodulate(apply_channel(dispersed, ChannelModel()), loading, cfg)
         assert np.array_equal(rx_bits, bits)
 
     def test_cp_sufficiency_snr_matches_response(self, cfg):
@@ -239,11 +239,10 @@ class TestModem:
         # the noise-only prediction scaled by |H|^2: no ISI penalty
         fir = FilterStage("disp", "fir", fir_taps=(1.0, 0.35, -0.2, 0.12), fir_rate_hz=84e9)
         sigma = 0.02
-        chan = ChannelModel(name="disp", noise=NoiseSpec(sigma=sigma), seed=3)
+        chan = ChannelModel(noise=NoiseSpec(sigma=sigma), seed=3)
         probe = make_probe_frame(cfg)
         est = estimate_snr(apply_channel(apply_stages(probe, (fir,)), chan, seed=3), cfg)
-        flat = ChannelModel(name="flat", noise=NoiseSpec(sigma=sigma), seed=3)
-        est_flat = estimate_snr(apply_channel(probe, flat, seed=3), cfg)
+        est_flat = estimate_snr(apply_channel(probe, chan, seed=3), cfg)
         freqs = np.arange(1, est.snr_db.size + 1) * 84e9 / cfg.fft_length
         gain_db = 20 * np.log10(np.abs(fir.response(freqs)))
         predicted = est_flat.snr_db + gain_db

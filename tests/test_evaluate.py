@@ -92,58 +92,65 @@ def at_snr(experiment, snr_db):
 class TestSweeps:
 
     def test_single_point_equals_single_run(self, experiment):
-        spec = SweepSpec(values=(17.0,), blocks=1, base_seed=5)
+        spec = SweepSpec(blocks=1, base_seed=5)
         points = run_sweep([at_snr(experiment, 17.0)], spec)
         tx_bits, rx_bits = experiment.run_block(seed=spec.base_seed)
         direct = count_ber(tx_bits, rx_bits)
         assert points[0].report.bit_errors == direct.bit_errors
 
     def test_deterministic_csv_bytes(self, experiment, tmp_path):
-        spec = SweepSpec(values=(15.0, 18.0), blocks=2, base_seed=3)
-        experiments = [at_snr(experiment, snr) for snr in spec.values]
+        snrs = (15.0, 18.0)
+        spec = SweepSpec(blocks=2, base_seed=3)
+        experiments = [at_snr(experiment, snr) for snr in snrs]
         paths = []
         for run in range(2):
             points = run_sweep(experiments, spec)
             path = tmp_path / f"sweep{run}.csv"
             _write_csv(path, _result_rows(["channel.noise.snr_db"],
-                                          [[_fmt(snr)] for snr in spec.values], points))
+                                          [[_fmt(snr)] for snr in snrs], points))
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
     def test_point_failure_recorded_and_sweep_continues(self, experiment):
-        spec = SweepSpec(values=(-40.0, 17.0), blocks=1, base_seed=1)
+        spec = SweepSpec(blocks=1, base_seed=1)
         points = run_sweep([at_snr(experiment, -40.0), experiment], spec)  # drowned in noise
         assert points[0].report is None
         assert points[0].error.startswith("PayloadSyncError: ")
         assert points[1].report is not None
 
     def test_two_dimensional_grid_csv(self, experiment, tmp_path):
-        spec = SweepSpec(values=((3, 16.0), (5, 16.0), (3, 18.0), (5, 18.0)), blocks=1)
+        grid = ((3, 16.0), (5, 16.0), (3, 18.0), (5, 18.0))
         experiments = [
             replace(at_snr(experiment, snr), rx=replace(experiment.rx, n_ffe_taps=taps))
-            for taps, snr in spec.values
+            for taps, snr in grid
         ]
-        points = run_sweep(experiments, spec)
+        points = run_sweep(experiments, SweepSpec(blocks=1))
         path = tmp_path / "grid.csv"
         _write_csv(path, _result_rows(["rx.n_ffe_taps", "channel.noise.snr_db"],
-                                      [[_fmt(v) for v in values] for values in spec.values],
+                                      [[_fmt(v) for v in values] for values in grid],
                                       points))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("rx_n_ffe_taps,channel_noise_snr_db,")
         assert len(lines) == 5
 
     def test_parallel_matches_serial(self, experiment):
-        spec = SweepSpec(values=(15.0, 17.0), blocks=1, base_seed=2)
-        experiments = [at_snr(experiment, snr) for snr in spec.values]
+        spec = SweepSpec(blocks=1, base_seed=2)
+        experiments = [at_snr(experiment, snr) for snr in (15.0, 17.0)]
         serial = run_sweep(experiments, spec, jobs=1)
         parallel = run_sweep(experiments, spec, jobs=2)
         assert [p.report.bit_errors for p in serial] == [
             p.report.bit_errors for p in parallel
         ]
 
-    def test_one_experiment_per_point(self, experiment):
-        with pytest.raises(ValueError, match="1 experiments for 2 sweep points"):
-            run_sweep([experiment], SweepSpec(values=(15.0, 17.0)))
+    def test_sweep_needs_a_point(self):
+        # raised before a pool of zero workers is asked for
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="sweep needs at least one point"):
+                run_sweep([], SweepSpec(), jobs=jobs)
+
+    def test_point_needs_a_block(self):
+        with pytest.raises(ValueError, match="sweep needs at least one block per point"):
+            SweepSpec(blocks=0)
 
     @pytest.mark.parametrize("jobs, workers", [(2, 2), (8, 2)])
     def test_pool_has_at_most_one_worker_per_point(self, experiment, monkeypatch, jobs, workers):
@@ -166,8 +173,8 @@ class TestSweeps:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        spec = SweepSpec(values=(15.0, 17.0), blocks=1, base_seed=2)
-        experiments = [at_snr(experiment, snr) for snr in spec.values]
+        spec = SweepSpec(blocks=1, base_seed=2)
+        experiments = [at_snr(experiment, snr) for snr in (15.0, 17.0)]
         points = run_sweep(experiments, spec, jobs=jobs)
         assert started == [workers]
         assert points == run_sweep(experiments, spec, jobs=1)
@@ -181,7 +188,7 @@ class TestBatchedSweepParity:
     @staticmethod
     def block_loop(experiments, spec):
         points = []
-        for index, (experiment, values) in enumerate(zip(experiments, spec.values)):
+        for index, experiment in enumerate(experiments):
             errors = total = 0
             try:
                 for b in range(spec.blocks):
@@ -189,13 +196,13 @@ class TestBatchedSweepParity:
                     report = count_ber(*experiment.run_block(seed))
                     errors += report.bit_errors
                     total += report.bits_total
-                points.append(SweepPoint(values, BerReport(errors, total)))
+                points.append(SweepPoint(BerReport(errors, total)))
             except SimulationError as exc:
-                points.append(SweepPoint(values, None, f"{type(exc).__name__}: {exc}"))
+                points.append(SweepPoint(None, f"{type(exc).__name__}: {exc}"))
         return points
 
     def test_jobs_and_block_loop_agree(self):
-        spec = SweepSpec(values=(2.8, 3.8, 4.8), blocks=2, base_seed=16)
+        spec = SweepSpec(blocks=2, base_seed=16)
         channels = [make_channel("paper_10km", voa_db=2.8, seed=16),
                     make_channel("awgn_only", snr_db=-40.0, seed=16),  # drowned: fails
                     make_channel("paper_10km", voa_db=4.8, seed=16)]
@@ -231,10 +238,10 @@ class TestMixedRunBlocks:
                 expected = count_ber(*experiment.run_block(seed))
             except SimulationError as exc:
                 assert (type(outcome), str(outcome)) == (type(exc), str(exc))
-                failed.append(experiment.channel.name)
+                failed.append(experiment.channel)
             else:
                 assert outcome == expected
-        assert failed == ["awgn_only"]
+        assert failed == [drowned]
 
     def test_ffe_longer_than_its_block_raises(self):
         # 4097 taps on 1024-symbol blocks is a caller's error, not a
@@ -302,7 +309,7 @@ class TestFaultsPropagate:
         with pytest.raises(TypeError, match="a programming error"):
             run_blocks([(experiment, 1)])
         with pytest.raises(TypeError, match="a programming error"):
-            run_sweep([experiment], SweepSpec(values=(17.0,)))
+            run_sweep([experiment], SweepSpec())
 
     def test_dmt_block_fault(self, monkeypatch):
         monkeypatch.setattr(DmtExperiment, "run_block", self.broken)
@@ -311,7 +318,7 @@ class TestFaultsPropagate:
         with pytest.raises(TypeError, match="a programming error"):
             run_blocks([(experiment, 1)])
         with pytest.raises(TypeError, match="a programming error"):
-            run_sweep([experiment], SweepSpec(values=(0.0,)))
+            run_sweep([experiment], SweepSpec())
 
 
 class TestLatency:
