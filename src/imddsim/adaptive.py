@@ -351,19 +351,13 @@ class MlseConfig:
         cls,
         channel: np.ndarray,
         alphabet: np.ndarray,
-        memory: int | None = None,
         start_symbol: int | None = 0,
     ) -> "MlseConfig":
-        """Trellis for y[k] = sum_j channel[j] * level[k-j].
-
-        `memory` defaults to len(channel)-1 and may exceed it (extra state
-        digits are simply unused by the branch outputs).
-        """
+        """Trellis for y[k] = sum_j channel[j] * level[k-j], of memory
+        len(channel) - 1 (a longer register is a zero-padded channel)."""
         h = np.asarray(channel, dtype=np.float64)
         alphabet = np.asarray(alphabet, dtype=np.float64)
-        m = h.size - 1 if memory is None else memory
-        if m < max(h.size - 1, 1):
-            raise ValueError("MLSE memory shorter than the channel memory")
+        m = h.size - 1
         n_states = 4**m
         states = np.arange(n_states)
         expected = np.zeros((n_states, 4))
@@ -378,9 +372,9 @@ class MlseConfig:
         return cls(m, alphabet, expected, start)
 
     @classmethod
-    def partial_response(cls, alphabet: np.ndarray, memory: int = 1) -> "MlseConfig":
+    def partial_response(cls, alphabet: np.ndarray) -> "MlseConfig":
         """Delay-and-add trellis: expected output level[k] + level[k-1]."""
-        return cls.for_fir_channel(np.array([1.0, 1.0]), alphabet, memory, start_symbol=0)
+        return cls.for_fir_channel(np.array([1.0, 1.0]), alphabet, start_symbol=0)
 
 
 MLSE_BATCH_STATES = 256
@@ -388,6 +382,10 @@ MLSE_BATCH_STATES = 256
 of :func:`mlse_detect_batch` carries.  More streams run as consecutive
 loops, so the digit table stays at 256 bytes per symbol (16.8 MB for
 65,536 symbols); a single larger trellis runs alone."""
+
+MLSE_MAX_DIGIT_BYTES = 2**28
+"""Largest Viterbi digit table (a byte per state and symbol) one trellis
+may need: a 4**order-symbol block takes at most 4**(14 - order) states."""
 
 
 def mlse_detect(samples: np.ndarray | SampleBuffer, cfg: MlseConfig) -> SymbolSequence:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import FFE_MAX_TAPS
+from .adaptive import FFE_MAX_TAPS, MLSE_MAX_DIGIT_BYTES
 from .dmt import DmtConfig
 from .evaluate import DmtExperiment, PamExperiment, SweepSpec, latency_budget, run_sweep
 from .link import CHANNEL_PRESETS, make_channel, preset_summary
@@ -170,13 +170,15 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
             except (ValueError, ZeroDivisionError) as exc:
                 errors.append(f"{name}: {exc}")
     fields.update(overrides or {})
-    if fields.get("format") not in FORMATS:
+    format_known = fields.get("format") in FORMATS
+    if not format_known:
         errors.append(
             f"experiment.format: must be one of {', '.join(FORMATS)}, got {fields.get('format')!r}"
         )
         fields["format"] = "dmt"
     cfg = _settled(ExperimentConfig(**fields), errors)
 
+    unread = "pam." if cfg.format == "dmt" else "dmt."  # the keys the format never reads
     sweeps = (("", cfg.sweep_parameter, cfg.sweep_values),
               ("2", cfg.sweep_parameter2, cfg.sweep_values2))
     for suffix, key, values in sweeps:
@@ -192,6 +194,9 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 f"sweep.parameter{suffix}: {key} is swept here but also fixed at "
                 f"{key}; remove one of the two"
             )
+        elif format_known and key.startswith(unread):
+            errors.append(f"sweep.parameter{suffix}: format {cfg.format!r} does not read "
+                          f"{key}, so every point would give the same row")
         if not values:
             errors.append(f"sweep.values{suffix}: at least one value required")
     swept = {cfg.sweep_parameter, cfg.sweep_parameter2}
@@ -262,13 +267,22 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append(f"pam.tx_taps: must be <= {FFE_MAX_TAPS}, the most the pre-emphasis "
                       f"trainer solves, got {cfg.tx_taps}")
     memory = cfg.mlse_memory
-    if cfg.format == "pr_pam4":
-        if memory is None:
-            memory = 1
-        elif memory < 1:
-            errors.append(f"pam.mlse_memory: pr_pam4 needs an MLSE memory >= 1, got {memory}")
+    partial = cfg.format == "pr_pam4"
+    if partial and memory is None:
+        memory = 1
+    if partial and memory < 1:
+        errors.append(f"pam.mlse_memory: pr_pam4 needs an MLSE memory >= 1, got {memory}")
     elif memory is not None and memory < 0:
         errors.append(f"pam.mlse_memory: must be >= 0 (0 is no MLSE), got {memory}")
+    elif cfg.format != "dmt" and 5 <= cfg.payload_order <= 12:
+        # the trellis that runs keeps a Viterbi table of a byte per state and
+        # symbol, 4**(order + memory) bytes: memory <= log4(the bound) - order
+        trellis = PamRxConfig(mlse_memory=memory or None, partial_response=partial).trellis_memory
+        largest = (MLSE_MAX_DIGIT_BYTES.bit_length() - 1) // 2 - cfg.payload_order
+        if trellis is not None and trellis > largest:
+            errors.append(f"pam.mlse_memory: must be <= {largest} at payload_order "
+                          f"{cfg.payload_order}, whose Viterbi table must fit in "
+                          f"{MLSE_MAX_DIGIT_BYTES} bytes, got {memory}")
     return replace(cfg, mlse_memory=memory or None)
 
 
@@ -330,15 +344,6 @@ def build_experiment(cfg: ExperimentConfig):
     )
 
 
-def _latency_for(cfg: ExperimentConfig, experiment):
-    distance = experiment.channel.fiber_km
-    if cfg.format == "dmt":
-        return latency_budget("dmt", distance, fft_length=cfg.fft_length,
-                              cp_fraction=cfg.cp_fraction)
-    return latency_budget(cfg.format, distance, tx_taps=cfg.tx_taps,
-                          rx_taps=cfg.rx_taps, mlse_memory=cfg.mlse_memory)
-
-
 def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     """Execute the configured experiment; writes artifacts into out_dir.
 
@@ -379,7 +384,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
             _write_csv(out / "taps.csv", [["index", "coefficient"]] + [
                 [str(i - len(taps) // 2), f"{c:.12g}"] for i, c in enumerate(taps)])
 
-    budget = _latency_for(points[0][1], experiment)
+    budget = latency_budget(experiment)
     (out / "latency.txt").write_text(budget.summary() + "\n")
     _write_summary(cfg, names, points, experiments, results, budget, out / "summary.txt")
 

@@ -401,11 +401,11 @@ class LatencyBudget:
         return "\n".join(lines)
 
 
-def _ffe_stage(name: str, n_taps: int) -> StageLatency:
+def _ffe_stage(side: str, n_taps: int) -> StageLatency:
     # N parallel multiplications plus a ceil(log2(N-1))-deep adder tree:
     # one clock when everything fits, one op per ns in the worst case
     adds = math.ceil(math.log2(n_taps - 1)) if n_taps > 1 else 0
-    return StageLatency(name, CLOCK_NS, (1 + adds) * CLOCK_NS)
+    return StageLatency(f"{side}_ffe{n_taps}", CLOCK_NS, (1 + adds) * CLOCK_NS)
 
 
 def _mlse_stage(memory: int) -> StageLatency:
@@ -427,35 +427,24 @@ def _dmt_stage(fft_length: int, cp_fraction: Fraction) -> StageLatency:
     return StageLatency("dmt_fft", buffer_ns + CLOCK_NS, buffer_ns + ops_count * CLOCK_NS)
 
 
-def latency_budget(
-    fmt: str,
-    distance_km: float,
-    tx_taps: int | None = None,
-    rx_taps: int | None = None,
-    mlse_memory: int | None = None,
-    fft_length: int = 512,
-    cp_fraction: Fraction = Fraction(1, 64),
-) -> LatencyBudget:
-    """DSP, propagation and FEC latency for one receiver configuration.
-
-    The FFE and MLSE stage arithmetic is exact integer work in
-    nanoseconds; propagation charges 5 us/km and the FEC a flat 10 us.
+def latency_budget(experiment: PamExperiment | DmtExperiment) -> LatencyBudget:
+    """DSP, propagation and FEC latency of what `experiment` runs: the
+    pre-emphasis its transmitter gets, its receive FFE and trellis, or its
+    FFT and prefix.  The stage arithmetic is exact integer work in
+    nanoseconds; the channel's fiber costs 5 us/km and the FEC a flat 10 us.
     """
     stages: list[StageLatency] = []
-    if fmt == "dmt":
-        stages.append(_dmt_stage(fft_length, cp_fraction))
+    if isinstance(experiment, DmtExperiment):
+        stages.append(_dmt_stage(experiment.cfg.fft_length, experiment.cfg.cp_fraction))
     else:
-        if tx_taps:
-            stages.append(_ffe_stage(f"tx_ffe{tx_taps}", tx_taps))
-        if rx_taps:
-            stages.append(_ffe_stage(f"rx_ffe{rx_taps}", rx_taps))
-        if mlse_memory:
-            stages.append(_mlse_stage(mlse_memory))
-    return LatencyBudget(
-        stages=tuple(stages),
-        propagation_us=distance_km * PROPAGATION_US_PER_KM,
-        fec_us=FEC_LATENCY_US,
-    )
+        tx_taps = experiment.resolve_tx().pre_emphasis_taps
+        if tx_taps is not None:
+            stages.append(_ffe_stage("tx", len(tx_taps)))
+        stages.append(_ffe_stage("rx", experiment.rx.n_ffe_taps))
+        if experiment.rx.trellis_memory is not None:
+            stages.append(_mlse_stage(experiment.rx.trellis_memory))
+    propagation_us = experiment.channel.fiber_km * PROPAGATION_US_PER_KM
+    return LatencyBudget(tuple(stages), propagation_us, FEC_LATENCY_US)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,8 @@ class PamRxConfig:
     """Receive chain settings.
 
     `mlse_memory` None selects the hard decision; partial-response
-    reception requires an MLSE (memory >= 1).
+    reception requires an MLSE (memory >= 1), and runs the one 4-state
+    delay-and-add trellis at any memory (see `trellis_memory`).
     """
 
     symbol_rate: float = 56e9
@@ -215,6 +216,12 @@ class PamRxConfig:
             raise ValueError(f"MLSE memory must be >= 1 or None, got {self.mlse_memory}")
         if self.partial_response and self.mlse_memory is None:
             raise ValueError("partial-response reception needs an MLSE (memory >= 1)")
+
+    @property
+    def trellis_memory(self) -> int | None:
+        """The memory of the MLSE trellis this receiver runs (None: the hard
+        decision); delay-and-add remembers one symbol at any `mlse_memory`."""
+        return 1 if self.partial_response else self.mlse_memory
 
 
 def _alignment_lag(stream: np.ndarray, reference: np.ndarray) -> int:
@@ -292,7 +299,7 @@ def pam_back_end(
     for b, (eq, cfg) in enumerate(zip(equalized, cfgs)):
         if isinstance(eq, EqualizerDivergence):
             continue
-        if cfg.mlse_memory is None:
+        if cfg.trellis_memory is None:
             indices[b] = np.searchsorted(mids, eq.output)
         else:
             mlse_blocks.append(b)
@@ -307,9 +314,9 @@ def _trellis(equalized: np.ndarray, cfg: PamRxConfig, payload: SymbolSequence) -
     """The MLSE trellis of one block: delay-and-add for partial response,
     else the residual channel fitted to the equalized block."""
     if cfg.partial_response:
-        return MlseConfig.partial_response(PAM4_LEVELS, cfg.mlse_memory)
-    h = _fit_residual_channel(equalized, payload.levels, cfg.mlse_memory)
-    return MlseConfig.for_fir_channel(h, PAM4_LEVELS, cfg.mlse_memory, start_symbol=None)
+        return MlseConfig.partial_response(PAM4_LEVELS)
+    h = _fit_residual_channel(equalized, payload.levels, cfg.trellis_memory)
+    return MlseConfig.for_fir_channel(h, PAM4_LEVELS, start_symbol=None)
 
 
 def _to_two_sps(signal: SampleBuffer, symbol_rate: float) -> SampleBuffer:

@@ -92,8 +92,11 @@ def dmt_ber(cfg, channel, frames, seed):
 
 def test_criterion_1_latency_budget():
     t0 = time.time()
-    ffe = latency_budget("nyquist_pam4", 0.0, tx_taps=11, rx_taps=41)
-    mlse = latency_budget("pr_pam4", 10.0, tx_taps=11, rx_taps=21, mlse_memory=1)
+    ffe = latency_budget(PamExperiment(rx=PamRxConfig(n_ffe_taps=41),
+                                       channel=make_channel("paper_b2b"), tx_preemphasis_taps=11))
+    mlse = latency_budget(PamExperiment(
+        rx=PamRxConfig(n_ffe_taps=21, mlse_memory=1, partial_response=True),
+        channel=make_channel("paper_10km"), tx_preemphasis_taps=11))
     mlse_stage = mlse.stages[-1]
     ok = (
         ffe.dsp_best_ns == 2.0

@@ -167,7 +167,9 @@ class TestMlse:
         rx = clean + rng.normal(0, 0.55, clean.size)
         errs = {}
         for m in (1, 2):
-            cfg = MlseConfig.for_fir_channel(h, PAM4, m, start_symbol=None)
+            # a memory-m register: the channel zero-padded to m + 1 taps
+            padded = np.pad(h, (0, m + 1 - h.size))
+            cfg = MlseConfig.for_fir_channel(padded, PAM4, start_symbol=None)
             errs[m] = int(np.sum(mlse_detect(rx, cfg).indices != seq.indices))
         mids = (PAM4[1:] + PAM4[:-1]) / 2
         slicer = int(np.sum(np.searchsorted(mids, rx / np.sum(h) * 1.0) != seq.indices))
@@ -183,7 +185,7 @@ class TestMlse:
         seq = debruijn_sequence(4, 6)
         h = np.array([1.0, 0.4, 0.2])
         rx = circular_channel(seq.levels, h)
-        cfg = MlseConfig.for_fir_channel(h, PAM4, 2, start_symbol=None)
+        cfg = MlseConfig.for_fir_channel(h, PAM4, start_symbol=None)
         detected = mlse_detect(rx, cfg)
         # circular block: the first two symbols lack their true history
         assert np.array_equal(detected.indices[2:], seq.indices[2:])

@@ -17,7 +17,8 @@ from imddsim.cli import (
     parse_config,
     point_configs,
 )
-from imddsim.evaluate import latency_budget
+from imddsim.dmt import DmtConfig
+from imddsim.evaluate import DmtExperiment, latency_budget
 from imddsim.link import CHANNEL_PRESETS, make_channel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -148,6 +149,7 @@ fft_length = 300
          ("dmt", "dmt.fft_length", "300"),
          ("pr_pam4", "pam.mlse_memory", "0, 1"),
          ("nyquist_pam4", "pam.mlse_memory", "-1, 1"),
+         ("nyquist_pam4", "pam.mlse_memory", "7, 1"),
          ("nyquist_pam4", "pam.rx_taps", "65537, 41"),
          ("nyquist_pam4", "pam.rx_taps", "1025, 41"),
          ("nyquist_pam4", "pam.tx_taps", "9831, 11"),
@@ -219,6 +221,49 @@ fft_length = 300
         # the longest FFE of each kind is a valid config
         longest = {"pam.rx_taps": "rx_taps = 1023", "pam.tx_taps": "tx_taps = 1023"}[key]
         parse_config(write_cfg(tmp_path, text.replace(lines.split("\n")[1], longest)))
+
+    @pytest.mark.parametrize("order, memory", [(8, 12), (8, 7), (12, 3)])
+    def test_mlse_table_over_its_bound_rejected(self, tmp_path, capsys, order, memory):
+        text = (f"[experiment]\nformat = nyquist_pam4\n\n[pam]\npayload_order = {order}\n"
+                f"mlse_memory = {memory}\n")
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.errors == [
+            f"pam.mlse_memory: must be <= {14 - order} at payload_order {order}, whose Viterbi "
+            f"table must fit in 268435456 bytes, got {memory}"]
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {err.value.errors[0]}\n"
+        assert not (tmp_path / "out").exists()
+        # the largest memory at that order parses, and so does a PR receiver's
+        # 4-state trellis at any memory
+        largest = text.replace(f"mlse_memory = {memory}", f"mlse_memory = {14 - order}")
+        assert parse_config(write_cfg(tmp_path, largest, "largest.cfg")).mlse_memory == 14 - order
+        pr = text.replace("nyquist_pam4", "pr_pam4")
+        assert parse_config(write_cfg(tmp_path, pr, "pr.cfg")).mlse_memory == memory
+
+    @pytest.mark.parametrize(
+        "fmt, key, values",
+        [("dmt", "pam.rx_taps", "5, 41"),
+         ("dmt", "pam.mlse_memory", "0, 1"),
+         ("nyquist_pam4", "dmt.fft_length", "256, 512"),
+         ("pr_pam4", "dmt.clipping_ratio_db", "4, 10")],
+    )
+    def test_sweep_of_a_key_the_format_never_reads(self, tmp_path, capsys, fmt, key, values):
+        text = (f"[experiment]\nformat = {fmt}\n\n[channel]\npreset = paper_b2b\n\n"
+                f"[dmt]\nfft_length = 256\nframes = 1\n\n"
+                f"[sweep]\nparameter = {key}\nvalues = {values}\n")
+        if key == "dmt.fft_length":
+            text = text.replace("fft_length = 256\n", "")
+        path = write_cfg(tmp_path, text)
+        message = (f"sweep.parameter: format {fmt!r} does not read {key}, "
+                   "so every point would give the same row")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.errors == [message]
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "cp_fraction, sweep, fft_length",
@@ -478,7 +523,8 @@ mlse_memory = none
         ) + "\n[sweep]\nparameter = dmt.fft_length\nvalues = 256, 1024\n"
         out = tmp_path / "out"
         assert main(["--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
-        budget = latency_budget("dmt", 0.0, fft_length=256).summary()
+        first = DmtExperiment(cfg=DmtConfig(fft_length=256), channel=make_channel("paper_b2b"))
+        budget = latency_budget(first).summary()
         assert (out / "latency.txt").read_text() == budget + "\n"
         assert (out / "summary.txt").read_text().endswith("\n" + budget + "\n")
 

@@ -321,20 +321,28 @@ class TestFaultsPropagate:
             run_sweep([experiment], SweepSpec())
 
 
+PR_21 = PamRxConfig(n_ffe_taps=21, mlse_memory=1, partial_response=True)
+
+
+def pam_experiment(rx: PamRxConfig, preset: str = "paper_b2b", tx_taps: int = 11) -> PamExperiment:
+    """`rx` over `preset`, with `tx_taps` pre-emphasis taps where the link has the hardware."""
+    return PamExperiment(rx=rx, channel=make_channel(preset), tx_preemphasis_taps=tx_taps)
+
+
 class TestLatency:
     def test_nyquist_ffe_paper_values(self):
-        budget = latency_budget("nyquist_pam4", distance_km=0.0, tx_taps=11, rx_taps=41)
+        budget = latency_budget(pam_experiment(PamRxConfig(n_ffe_taps=41)))
         assert budget.dsp_best_ns == 2.0
         assert budget.dsp_worst_ns == 12.0
 
     def test_mlse_paper_values(self):
-        budget = latency_budget("pr_pam4", distance_km=0.0, tx_taps=11, rx_taps=21, mlse_memory=1)
+        budget = latency_budget(pam_experiment(PR_21))
         mlse = budget.stages[-1]
         assert mlse.best_ns == 16.0
         assert mlse.worst_ns == 66.0
 
     def test_ten_km_total_under_allowance(self):
-        budget = latency_budget("pr_pam4", distance_km=10.0, tx_taps=11, rx_taps=21, mlse_memory=1)
+        budget = latency_budget(pam_experiment(PR_21, "paper_10km"))
         assert budget.propagation_us == 50.0
         assert budget.fec_us == 10.0
         assert 59.0 < budget.total_worst_us < 61.0
@@ -342,20 +350,34 @@ class TestLatency:
 
     def test_exact_integer_arithmetic(self):
         for taps, worst in ((11, 5.0), (21, 6.0), (41, 7.0), (61, 7.0)):
-            budget = latency_budget("nyquist_pam4", 0.0, tx_taps=taps, rx_taps=None)
-            assert budget.stages[0].worst_ns == worst
-        for m, best, worst in ((1, 16.0, 66.0), (2, 19.0, 76.0), (3, 21.0, 86.0)):
-            budget = latency_budget("pr_pam4", 0.0, mlse_memory=m)
+            budget = latency_budget(pam_experiment(PamRxConfig(), tx_taps=taps))
+            stages = {s.name: s for s in budget.stages}
+            assert stages[f"tx_ffe{taps}"].worst_ns == worst
+        for rx, best, worst in ((PamRxConfig(mlse_memory=1, partial_response=True), 16.0, 66.0),
+                                (PamRxConfig(mlse_memory=2), 19.0, 76.0),
+                                (PamRxConfig(mlse_memory=3), 21.0, 86.0)):
+            budget = latency_budget(pam_experiment(rx, "ideal"))
             assert budget.stages[-1].best_ns == best
             assert budget.stages[-1].worst_ns == worst
 
+    def test_flat_preset_charges_no_pre_emphasis(self):
+        # no transmitter hardware, so resolve_tx installs no pre-emphasis
+        for preset in ("ideal", "awgn_only"):
+            budget = latency_budget(pam_experiment(PamRxConfig(n_ffe_taps=41), preset))
+            assert [s.name for s in budget.stages] == ["rx_ffe41"]
+
+    def test_pr_charges_the_trellis_it_runs(self):
+        rx = PamRxConfig(n_ffe_taps=21, mlse_memory=3, partial_response=True)
+        assert latency_budget(pam_experiment(rx)) == latency_budget(pam_experiment(PR_21))
+
     def test_dmt_stage_present(self):
-        budget = latency_budget("dmt", distance_km=10.0, fft_length=512)
+        experiment = DmtExperiment(cfg=DmtConfig(fft_length=512), channel=make_channel("paper_10km"))
+        budget = latency_budget(experiment)
         assert budget.stages[0].name == "dmt_fft"
         assert budget.total_worst_us < 75.0
 
     def test_summary_renders(self):
-        budget = latency_budget("pr_pam4", 10.0, tx_taps=11, rx_taps=21, mlse_memory=1)
+        budget = latency_budget(pam_experiment(PR_21, "paper_10km"))
         text = budget.summary()
         assert "propagation" in text and "66" in text
 

@@ -460,6 +460,13 @@ class TestPreemphasisClosedForm:
 # MLSE
 # ---------------------------------------------------------------------------
 
+def zero_padded(h, memory: int) -> np.ndarray:
+    """`h` zero-padded to memory + 1 taps: the channel of a memory-`memory`
+    trellis whose extra state digits no branch output reads."""
+    h = np.asarray(h, dtype=np.float64)
+    return np.pad(h, (0, memory + 1 - h.size))
+
+
 @st.composite
 def trellis_cases(draw):
     memory = draw(st.integers(1, 3))
@@ -483,7 +490,7 @@ class TestMlseParity:
         levels = PAM4[rng.integers(0, 4, n)]
         clean = np.convolve(levels, h)[:n]
         y = clean + rng.normal(0, sigma, n) if sigma else clean
-        cfg = MlseConfig.for_fir_channel(h, PAM4, memory, start_symbol=start)
+        cfg = MlseConfig.for_fir_channel(zero_padded(h, memory), PAM4, start_symbol=start)
         assert np.array_equal(mlse_detect(y, cfg).indices, oracle_mlse_detect(y, cfg))
 
     @pytest.mark.parametrize("start", [0, None])
@@ -493,7 +500,7 @@ class TestMlseParity:
         # squared distances are small exact integers, so candidates often meet
         # with exactly equal metrics and the lower predecessor must win
         y = np.random.default_rng(7).integers(-7, 8, 3000).astype(np.float64)
-        cfg = MlseConfig.for_fir_channel(np.array([1.0, 1.0]), PAM4, memory, start_symbol=start)
+        cfg = MlseConfig.for_fir_channel(zero_padded([1.0, 1.0], memory), PAM4, start_symbol=start)
         assert np.array_equal(mlse_detect(y, cfg).indices, oracle_mlse_detect(y, cfg))
 
     @pytest.mark.parametrize("memory", [1, 2, 3])
@@ -506,7 +513,7 @@ class TestMlseParity:
         idx = rng.integers(0, 3, 3000) + np.arange(3000) % 2
         levels = PAM4[idx]
         y = levels + np.concatenate(([PAM4[1]], levels[:-1]))
-        cfg = MlseConfig.for_fir_channel(np.array([1.0, 1.0]), PAM4, memory, start_symbol=None)
+        cfg = MlseConfig.for_fir_channel(zero_padded([1.0, 1.0], memory), PAM4, start_symbol=None)
         assert np.array_equal(mlse_detect(y, cfg).indices, oracle_mlse_detect(y, cfg))
 
 
@@ -533,7 +540,8 @@ def batch_trellis_cases(draw):
                                        max_size=n_channel)))
             h[0] = 1.0
         start = draw(st.sampled_from([0, None]))
-        trellises.append((h, MlseConfig.for_fir_channel(h, PAM4, memory, start_symbol=start)))
+        trellises.append((h, MlseConfig.for_fir_channel(zero_padded(h, memory), PAM4,
+                                                         start_symbol=start)))
     # lengths around the branch-metric chunk sizes: 2**15 // states symbols
     # (128 at the 256-state cap, 390 at 84 states, 512 at 64), at most 2048
     n = draw(st.sampled_from([1, 2, 127, 128, 129, 389, 390, 391, 512, 513, 2048, 2049]))
@@ -573,7 +581,7 @@ class TestMlseBatchParity:
         for memory in (1, 2, 3):
             for y, start in ((ties, 0), (ties, None), (paths, None)):
                 ys.append(y)
-                cfgs.append(MlseConfig.for_fir_channel(np.array([1.0, 1.0]), PAM4, memory,
+                cfgs.append(MlseConfig.for_fir_channel(zero_padded([1.0, 1.0], memory), PAM4,
                                                        start_symbol=start))
         assert_batch_matches_oracle(ys, cfgs)
 
@@ -587,7 +595,7 @@ class TestMlseBatchParity:
 
         monkeypatch.setattr(adaptive, "_viterbi", counted)
         rng = np.random.default_rng(3)
-        cfgs = [MlseConfig.partial_response(PAM4, 3) for _ in range(5)]
+        cfgs = [MlseConfig.for_fir_channel(zero_padded([1.0, 1.0], 3), PAM4) for _ in range(5)]
         ys = [fir_stream(np.array([1.0, 1.0]), 700, rng, 0.5) for _ in cfgs]
         assert_batch_matches_oracle(ys, cfgs)
         assert loops == [adaptive.MLSE_BATCH_STATES, 64]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imddsim import adaptive
 from imddsim.adaptive import gardner_recover
 from imddsim.evaluate import PamExperiment
 from imddsim.link import EML_BIAS_V, NoiseSpec, eml_power_mw, make_channel
@@ -239,6 +240,25 @@ class TestReceive:
         assert pr.levels[0] == -4.0  # -1 + (-3)
         detected = mlse_detect(pr.levels, MlseConfig.partial_response(seq.alphabet))
         assert np.array_equal(detected.indices, seq.indices)
+
+    def test_pr_runs_the_four_state_trellis_at_any_memory(self, monkeypatch):
+        # delay-and-add remembers one symbol, so memory 3 runs memory 1's
+        # trellis and decides the same bits
+        states = []
+        viterbi = adaptive._viterbi
+
+        def counted(ys, trellises):
+            states.extend(cfg.n_states for cfg in trellises)
+            return viterbi(ys, trellises)
+
+        monkeypatch.setattr(adaptive, "_viterbi", counted)
+        channel = make_channel("paper_10km", voa_db=3.8, seed=3)
+        rx_bits = {}
+        for memory in (1, 3):
+            rx = PamRxConfig(n_ffe_taps=21, mlse_memory=memory, partial_response=True)
+            _, rx_bits[memory] = PamExperiment(rx, channel, payload_order=7).run_block(seed=11)
+        assert states == [4, 4]
+        assert np.array_equal(rx_bits[3], rx_bits[1])
 
     def test_pr_without_mlse_rejected(self):
         with pytest.raises(ValueError):
