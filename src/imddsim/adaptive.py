@@ -1,8 +1,9 @@
 """Adaptive algorithms shared by the single-carrier chains.
 
-The receive FFE (a least-squares start on the known prefix, then one LMS
-pass), maximum-likelihood sequence estimation via the Viterbi algorithm,
-the indirect-learning pre-emphasis trainer, and Gardner clock recovery.
+The receive FFE (a least-squares fit on the known prefix, then one
+decision-directed LMS sweep over the rest of the block),
+maximum-likelihood sequence estimation via the Viterbi algorithm, the
+indirect-learning pre-emphasis trainer, and Gardner clock recovery.
 """
 from __future__ import annotations
 
@@ -55,25 +56,22 @@ class FfeTaps:
 def _lms_pass_batch(
     xp: np.ndarray,
     w: np.ndarray,
-    desired: np.ndarray,
     levels: np.ndarray,
-    n_train: int,
-    mu_train: float,
-    mu_dd: float,
+    first: int,
+    mu: float,
     failed: list,
-    n_kept: int,
-) -> np.ndarray:
-    """The receive FFE's LMS sweep over B cyclic blocks in lockstep;
-    mutates `w` in place.
+) -> None:
+    """The receive FFE's decision-directed LMS sweep over B cyclic blocks in
+    lockstep, from sample `first` to the end; mutates `w` in place.
 
     `xp` holds the blocks as rows, each already extended cyclically by
     ``n_taps // 2`` samples on both sides, and `w` their ``(B, n_taps)``
-    taps.  Data-aided on the first `n_train` samples, decision-directed on
-    the rest.  `failed[b]` is None while stream b adapts.  A stream that
+    taps.  The samples before `first` are the known prefix, which the
+    least-squares start has already fitted; the sweep reads no reference
+    symbol.  `failed[b]` is None while stream b adapts.  A stream that
     diverges gets an EqualizerDivergence and its taps stop moving; the
-    others run on, and the pass ends at the next MSE window once none
-    does.  Returns the outputs of the first `n_kept` samples, one row per
-    stream; a failed stream's row has no meaning.
+    others run on, and the sweep ends at the next MSE window (counted from
+    `first`) once none does.
 
     Each stream is bit-exact to the per-sample recursion ``y = w @ win;
     w += mu * e * win`` with ``win = xp[b, k : k + n_taps][::-1]``:
@@ -96,7 +94,6 @@ def _lms_pass_batch(
     mids = ((levels[1:] + levels[:-1]) / 2.0).tolist()
     level_list = levels.tolist()
     level_power = float(np.mean(levels**2))
-    kept = np.empty((n_streams, n_kept))
     y = np.empty((n_streams, 1, 1))
     y_flat = y.reshape(n_streams)
     scale = np.zeros((n_streams, 1))
@@ -106,29 +103,17 @@ def _lms_pass_batch(
     scales = scale_flat.tolist()
     first_window_mse = [None] * n_streams
     window = 2048
-    for start in range(0, n, window):
+    for start in range(first, n, window):
         if not running:
             break
         stop = min(start + window, n)
-        known = desired[start : min(stop, n_train)].tolist() if start < n_train else []
-        n_known = len(known)
-        outputs = []
         err_acc = [0.0] * n_streams
-        steps = zip(by_time[start:stop], columns[start:stop])
-        for i, (rows, cols) in enumerate(steps):
+        for rows, cols in zip(by_time[start:stop], columns[start:stop]):
             np.matmul(w_rows, cols, out=y)
             ys = y_flat.tolist()
-            if start < n_kept:
-                outputs.append(ys)
-            if i < n_known:
-                d = known[i]
-                mu = mu_train
-                errors = [d - ys[b] for b in running]
-            else:
-                mu = mu_dd
-                errors = [level_list[bisect_left(mids, ys[b])] - ys[b] for b in running]
             diverged = False
-            for b, e in zip(running, errors):
+            for b in running:
+                e = level_list[bisect_left(mids, ys[b])] - ys[b]
                 if not -1e60 < e < 1e60:
                     failed[b] = EqualizerDivergence(mu, abs(e))
                     scales[b] = 0.0
@@ -141,8 +126,6 @@ def _lms_pass_batch(
             scale_flat[:] = scales
             np.multiply(rows, scale, out=step)
             np.add(w, step, out=w)
-        if start < n_kept:
-            kept[:, start : min(stop, n_kept)] = np.array(outputs[: n_kept - start]).T
         if stop - start == window:
             for b in running:
                 mse = err_acc[b] / window
@@ -155,12 +138,14 @@ def _lms_pass_batch(
                 if failed[b] is not None:
                     scales[b] = 0.0
             running = [b for b in running if failed[b] is None]
-    return kept
 
 
 @dataclass(eq=False)
 class EqualizedStream:
-    """FFE equalization result: adapted taps and the symbol-rate output."""
+    """FFE equalization result: adapted taps and the symbol-rate output.
+
+    `mse_train` is the least-squares residual on the known prefix, and
+    `mse_final` the output's squared distance to its decisions."""
 
     taps: FfeTaps
     output: np.ndarray
@@ -182,15 +167,13 @@ def apply_taps_cyclic(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(kernel), n)
 
 
-LMS_MU_TRAIN = 1e-3
-"""Data-aided LMS step size in the alphabet-power domain, before the cap."""
-
 LMS_MU_DD = 1e-4
-"""Decision-directed LMS step size, before the cap."""
+"""Decision-directed LMS step size in the alphabet-power domain, before
+the cap."""
 
 LMS_TRAIN_FRACTION = 0.1
 """Share of a block the receive FFE knows: its least-squares start is
-fitted there, and its LMS pass runs data-aided there."""
+fitted there, and its decision-directed LMS sweep runs on the rest."""
 
 LS_SCRATCH_BYTES = 2**23
 """Most bytes of each array the receive FFE's least-squares start holds:
@@ -201,8 +184,9 @@ FFE_MAX_TAPS = math.isqrt(LS_SCRATCH_BYTES // 8) - 1
 taps): the receive FFE and the pre-emphasis trainer each solve one."""
 
 
-def _ls_start(xp: np.ndarray, desired: np.ndarray, n_taps: int) -> np.ndarray:
-    """The least-squares FFE of one stream on its known prefix.
+def _ls_start(xp: np.ndarray, desired: np.ndarray, n_taps: int) -> tuple[np.ndarray, float]:
+    """The least-squares FFE of one stream on its known prefix, and its
+    mean squared residual there.
 
     `xp` is the stream as `_lms_pass_batch` takes it (scaled, extended
     cyclically by ``n_taps // 2`` on both sides) and `desired` the known
@@ -211,7 +195,8 @@ def _ls_start(xp: np.ndarray, desired: np.ndarray, n_taps: int) -> np.ndarray:
     equations ``R w = p`` are summed a chunk of rows at a time, so the
     scratch stays within `LS_SCRATCH_BYTES` at any block length.  A
     singular R (a prefix that cannot fix the taps, such as a constant
-    one) gets the minimum-norm solution.
+    one) gets the minimum-norm solution.  Since ``R w = p``, the residual
+    ``|d - X w|**2`` is ``d @ d - w @ p``.
     """
     n_train = desired.size
     windows = sliding_window_view(xp, n_taps)[:n_train, ::-1]
@@ -223,9 +208,10 @@ def _ls_start(xp: np.ndarray, desired: np.ndarray, n_taps: int) -> np.ndarray:
         r += chunk.T @ chunk
         p += chunk.T @ desired[start : start + rows]
     try:
-        return np.linalg.solve(r, p)
+        w = np.linalg.solve(r, p)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(r, p, rcond=None)[0]
+        w = np.linalg.lstsq(r, p, rcond=None)[0]
+    return w, max(float(desired @ desired - w @ p), 0.0) / n_train
 
 
 def lms_equalize(
@@ -236,11 +222,12 @@ def lms_equalize(
 ) -> EqualizedStream:
     """Train an FFE on a cyclic symbol-rate block and equalize it.
 
-    The taps start from the least-squares fit on the first
-    `LMS_TRAIN_FRACTION` of the block, against the known reference
-    symbols there.  One LMS sweep then runs data-aided over that prefix
-    and decision-directed over the remainder.  The equalized output is the
-    block re-filtered with the adapted taps.
+    The known prefix is the first `LMS_TRAIN_FRACTION` of the block, but at
+    least 4 symbols per tap, up to half the block (and at least 1 symbol).  The taps start from the
+    least-squares fit against the reference symbols there, the FFE's only
+    data-aided training.  One decision-directed LMS sweep then adapts them
+    over the rest of the block, reading no reference symbol.  The
+    equalized output is the block re-filtered with the adapted taps.
 
     `train_passes` counts the LMS sweeps after the least-squares start;
     only 1 is supported (the benchmark's span counter reads it by name).
@@ -262,7 +249,8 @@ def lms_equalize_batch(
 
     Each stream gets what lms_equalize returns for it, or the
     EqualizerDivergence it raises there.  Each stream is fitted on its own;
-    the LMS sweeps of all streams run in lockstep in `_lms_pass_batch`.
+    the decision-directed sweeps of all streams run in lockstep in
+    `_lms_pass_batch`.
     """
     if n_taps < 1 or n_taps % 2 == 0:
         raise ValueError("FFE length must be odd and >= 1")
@@ -275,14 +263,12 @@ def lms_equalize_batch(
         raise ValueError("rx block and reference must have equal symbol counts")
     if n_taps > n:
         raise ValueError(f"FFE length {n_taps} exceeds the block of {n} symbols")
-    # adapt in the alphabet-power domain (the step sizes assume it),
+    # adapt in the alphabet-power domain (the step size assumes it),
     # capping the step well below the white-input stability bound 2/(N*P):
     # the equalizer input is strongly colored, which tightens the true bound
     power = float(np.mean(levels**2))
     gains = [np.sqrt(power / max(np.mean(x**2), 1e-30)) for x in xs]
-    mu_cap = 0.05 * 2.0 / (n_taps * power)
-    mu_train = min(LMS_MU_TRAIN, mu_cap)
-    mu_dd = min(LMS_MU_DD, mu_cap)
+    mu = min(LMS_MU_DD, 0.05 * 2.0 / (n_taps * power))
     half = n_taps // 2
     # each row: the scaled block, extended cyclically by half a filter
     xp = np.empty((len(xs), n + 2 * half))
@@ -290,18 +276,18 @@ def lms_equalize_batch(
         np.multiply(x, gain, out=row[half : half + n])
         row[:half] = row[n : n + half]
         row[half + n :] = row[half : 2 * half]
-    n_train = max(int(LMS_TRAIN_FRACTION * n), min(n, 4 * n_taps))
-    w = np.stack([_ls_start(row, desired[:n_train], n_taps) for row in xp])
+    n_train = max(int(LMS_TRAIN_FRACTION * n), min(n // 2, 4 * n_taps), 1)
+    starts, mses_train = zip(*[_ls_start(row, desired[:n_train], n_taps) for row in xp])
+    w = np.stack(starts)
     failed: list[EqualizerDivergence | None] = [None] * len(gains)
-    heads = _lms_pass_batch(xp, w, desired, levels, n_train, mu_train, mu_dd, failed, n_train)
+    _lms_pass_batch(xp, w, levels, n_train, mu, failed)
     # each block is then re-filtered with its adapted taps
     mids = (levels[1:] + levels[:-1]) / 2.0
     results: list[EqualizedStream | EqualizerDivergence] = []
-    for b, gain in enumerate(gains):
+    for b, (gain, mse_train) in enumerate(zip(gains, mses_train)):
         if failed[b] is not None:
             results.append(failed[b])
             continue
-        mse_train = float(np.mean((heads[b] - desired[:n_train]) ** 2))
         output = apply_taps_cyclic(xp[b, half : half + n], w[b])
         decided = levels[np.searchsorted(mids, output)]
         mse_final = float(np.mean((output - decided) ** 2))
@@ -381,7 +367,8 @@ MLSE_BATCH_STATES = 256
 """Most trellis states, summed over its streams, that one Viterbi time loop
 of :func:`mlse_detect_batch` carries.  More streams run as consecutive
 loops, so the digit table stays at 256 bytes per symbol (16.8 MB for
-65,536 symbols); a single larger trellis runs alone."""
+65,536 symbols), and within `MLSE_MAX_DIGIT_BYTES` on longer blocks; a
+single larger trellis runs alone."""
 
 MLSE_MAX_DIGIT_BYTES = 2**28
 """Largest Viterbi digit table (a byte per state and symbol) one trellis
@@ -405,8 +392,9 @@ def mlse_detect_batch(
     break toward the lower state index for reproducibility.  The streams
     must have equal lengths; their trellises may differ in memory and in
     expected outputs.  Consecutive streams share one time loop up to
-    `MLSE_BATCH_STATES` summed states (see `_viterbi`); each stream's
-    result does not depend on the streams it shares a loop with.
+    `MLSE_BATCH_STATES` summed states, and while their digit table stays
+    within `MLSE_MAX_DIGIT_BYTES` (see `_viterbi`); each stream's result
+    does not depend on the streams it shares a loop with.
     """
     ys = [s.samples if isinstance(s, SampleBuffer) else np.asarray(s, dtype=np.float64)
           for s in streams]
@@ -417,9 +405,12 @@ def mlse_detect_batch(
     detected: list[SymbolSequence] = []
     start = 0
     while start < len(ys):
+        # the states one loop sums: at most MLSE_BATCH_STATES, and a digit
+        # table (a byte per state and symbol) within MLSE_MAX_DIGIT_BYTES
+        most = min(MLSE_BATCH_STATES, MLSE_MAX_DIGIT_BYTES // max(ys[start].size, 1))
         stop = start + 1
         states = trellises[start].n_states
-        while stop < len(ys) and states + trellises[stop].n_states <= MLSE_BATCH_STATES:
+        while stop < len(ys) and states + trellises[stop].n_states <= most:
             states += trellises[stop].n_states
             stop += 1
         detected += _viterbi(ys[start:stop], trellises[start:stop])

@@ -99,6 +99,13 @@ class TestLmsFfe:
             lms_equalize(block.levels, block, n_taps=41)
         assert len(lms_equalize(block.levels, block, n_taps=19).taps) == 19
 
+    def test_one_symbol_block_knows_its_symbol(self, payload):
+        # the known prefix, at most half the block, still holds one symbol
+        block = SymbolSequence(payload.indices[:1], payload.alphabet)
+        eq = lms_equalize(block.levels, block, n_taps=1)
+        assert eq.mse_train == pytest.approx(0.0, abs=1e-12)
+        assert eq.taps.coefficients == pytest.approx([1.0])
+
     def test_mse_non_increasing_below_stability_bound(self, payload):
         # window-averaged MSE settles monotonically after burn-in
         rng = np.random.default_rng(1)

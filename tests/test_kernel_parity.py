@@ -5,9 +5,9 @@ The oracles are the straightforward per-sample loops the kernels in
 :mod:`imddsim.adaptive` replace.  The kernels promise identical floats,
 so every kernel comparison here is exact (``np.array_equal``), never a
 tolerance.  Two solvers are the exceptions.  The receive FFE's
-least-squares start sums its normal equations in chunks, so it is
-compared with ``np.linalg.lstsq`` on the whole window matrix to a
-relative 1e-9.  The pre-emphasis trainer is the LMS mean-weight
+least-squares start sums its normal equations in chunks, so it and its
+residual (`mse_train`) are compared with ``np.linalg.lstsq`` on the
+whole window matrix to a relative 1e-9.  The pre-emphasis trainer is the LMS mean-weight
 recursion in closed form, so it is compared with that recursion iterated
 to a relative 1e-9, and with the per-sample LMS it stands for to a
 bound on the taps' relative difference.
@@ -46,59 +46,52 @@ PAM4 = np.array([-3.0, -1.0, 1.0, 3.0])
 # oracles
 # ---------------------------------------------------------------------------
 
-def oracle_lms_pass(x, w, desired, levels, n_train, mu_train, mu_dd):
-    """Per-sample LMS sweep: slice and reverse a window, one update per sample."""
+def oracle_lms_pass(x, w, levels, first, mu):
+    """Per-sample decision-directed LMS sweep from sample `first`: slice and
+    reverse a window, one update per sample; mutates `w`."""
     n = x.size
     n_taps = w.size
     half = n_taps // 2
     xp = np.concatenate((x[-half:], x, x[:half])) if half else x
     mids = (levels[1:] + levels[:-1]) / 2.0
-    out = np.empty(n)
+    level_power = float(np.mean(levels**2))
     err_acc = 0.0
     first_window_mse = None
     window = 2048
-    for k in range(n):
+    for k in range(first, n):
         win = xp[k : k + n_taps][::-1]
         y = float(w @ win)
-        out[k] = y
-        if k < n_train:
-            d = desired[k]
-            mu = mu_train
-        else:
-            d = levels[np.searchsorted(mids, y)]
-            mu = mu_dd
-        e = d - y
+        e = levels[np.searchsorted(mids, y)] - y
         if not -1e60 < e < 1e60:
             raise EqualizerDivergence(mu, abs(e))
         w += mu * e * win
         err_acc += e * e
-        if (k + 1) % window == 0:
+        if (k + 1 - first) % window == 0:
             mse = err_acc / window
             err_acc = 0.0
-            level_power = float(np.mean(levels**2))
             if not np.isfinite(mse) or mse > 1e6 * level_power:
                 raise EqualizerDivergence(mu, mse)
             if first_window_mse is None:
                 first_window_mse = max(mse, 1e-12)
             elif mse > 100.0 * first_window_mse and mse > 10.0 * level_power:
                 raise EqualizerDivergence(mu, mse)
-    return out
 
 
 def oracle_lms_equalize(x, reference, n_taps):
     """One block through the per-sample oracle: scale, start from the
-    least-squares fit on the known prefix, one `oracle_lms_pass`, re-filter
-    with the adapted taps."""
+    least-squares fit on the known prefix, one `oracle_lms_pass` past it,
+    re-filter with the adapted taps.  `mse_train` is the fit's residual on
+    the whole window matrix of the prefix."""
     levels = reference.alphabet
     desired = reference.levels
     power = float(np.mean(levels**2))
     gain = np.sqrt(power / max(np.mean(x**2), 1e-30))
     x = x * gain
-    mu_cap = 0.05 * 2.0 / (n_taps * power)
-    n_train = max(int(0.1 * x.size), min(x.size, 4 * n_taps))
-    w = _ls_start(padded([x], n_taps)[0], desired[:n_train], n_taps)
-    out = oracle_lms_pass(x, w, desired, levels, n_train, min(1e-3, mu_cap), min(1e-4, mu_cap))
-    mse_train = float(np.mean((out[:n_train] - desired[:n_train]) ** 2))
+    n_train = max(int(0.1 * x.size), min(x.size // 2, 4 * n_taps), 1)
+    w, _ = _ls_start(padded([x], n_taps)[0], desired[:n_train], n_taps)
+    residual = window_matrix(x, n_taps, n_train) @ w - desired[:n_train]
+    mse_train = float(np.mean(residual**2))
+    oracle_lms_pass(x, w, levels, n_train, min(1e-4, 0.05 * 2.0 / (n_taps * power)))
     output = apply_taps_cyclic(x, w)
     mids = (levels[1:] + levels[:-1]) / 2.0
     mse_final = float(np.mean((output - levels[np.searchsorted(mids, output)]) ** 2))
@@ -148,69 +141,72 @@ def colored_block(n, seed=0, noise=0.3):
 
 
 def batch_of_one(x, w, *args):
-    """`_lms_pass_batch` on the one stream `x`: its outputs, or the
-    EqualizerDivergence it records, raised."""
+    """`_lms_pass_batch` on the one stream `x`, adapting `w`; the
+    EqualizerDivergence it records is raised."""
     failed = [None]
-    (out,) = _lms_pass_batch(padded([x], w.size), w[np.newaxis], *args, failed, x.size)
+    _lms_pass_batch(padded([x], w.size), w[np.newaxis], *args, failed)
     if failed[0] is not None:
         raise failed[0]
-    return out
 
 
 def run_both(x, n_taps, *args, passes=2):
-    """Run kernel and oracle from the same center-spike taps; outputs per pass."""
+    """Run kernel and oracle from the same center-spike taps; the taps
+    after each pass."""
     results = []
     for fn in (batch_of_one, oracle_lms_pass):
         w = np.zeros(n_taps)
         w[n_taps // 2] = 1.0
-        outs = [fn(x, w, *args) for _ in range(passes)]
-        results.append((outs, w))
+        taps = []
+        for _ in range(passes):
+            fn(x, w, *args)
+            taps.append(w.copy())
+        results.append(taps)
     return results
 
 
 def assert_identical(results):
-    (outs, w), (ref_outs, ref_w) = results
-    for out, ref in zip(outs, ref_outs):
-        assert np.array_equal(out, ref)
-    assert np.array_equal(w, ref_w)
+    taps, ref_taps = results
+    for w, ref in zip(taps, ref_taps):
+        assert np.array_equal(w, ref)
 
 
 class TestLmsPassParity:
     @pytest.mark.parametrize("n_taps", [41, 21])
     def test_training_then_decision_directed(self, n_taps):
-        x, symbols = colored_block(3 * 2048)
+        # the sweep starts past a 614-symbol training prefix
+        x, _ = colored_block(3 * 2048)
         mu = 0.05 * 2.0 / (n_taps * float(np.mean(PAM4**2)))
-        results = run_both(x, n_taps, symbols, PAM4, 614, min(1e-3, mu), min(1e-4, mu))
-        assert_identical(results)
+        assert_identical(run_both(x, n_taps, PAM4, 614, min(1e-4, mu)))
 
     def test_single_tap(self):
-        x, symbols = colored_block(4096, seed=1)
-        assert_identical(run_both(x, 1, symbols, PAM4, 400, 1e-3, 1e-4))
+        x, _ = colored_block(4096, seed=1)
+        assert_identical(run_both(x, 1, PAM4, 400, 1e-4))
 
     def test_slicer_ties_at_midpoints(self):
         # an output exactly on a level midpoint must resolve to the lower level
-        x, symbols = colored_block(4096, seed=6, noise=0.1)
+        x, _ = colored_block(4096, seed=6, noise=0.1)
         x[:3] = (2.0, -2.0, 0.0)
-        assert_identical(run_both(x, 1, symbols, PAM4, 0, 1e-3, 1e-4))
+        assert_identical(run_both(x, 1, PAM4, 0, 1e-4))
 
     def test_without_reference(self):
-        # no known symbols: decision-directed from the first sample
-        x, symbols = colored_block(4096, seed=2, noise=0.1)
-        assert_identical(run_both(x, 11, symbols, PAM4, 0, 1e-3, 1e-4))
+        # no known prefix: decision-directed from the first sample
+        x, _ = colored_block(4096, seed=2, noise=0.1)
+        assert_identical(run_both(x, 11, PAM4, 0, 1e-4))
 
     def test_block_not_a_multiple_of_the_mse_window(self):
-        x, symbols = colored_block(5000, seed=3)
-        assert_identical(run_both(x, 21, symbols, PAM4, 2100, 1e-3, 1e-4))
+        # the MSE windows count from the first sample of the sweep
+        x, _ = colored_block(5000, seed=3)
+        assert_identical(run_both(x, 21, PAM4, 2100, 1e-4))
 
     @pytest.mark.parametrize("mu", [0.9, 0.05])
     def test_divergence_same_mu_and_state(self, mu):
-        x, symbols = colored_block(3 * 2048, seed=5)
+        x, _ = colored_block(3 * 2048, seed=5)
         raised = []
         for fn in (batch_of_one, oracle_lms_pass):
             w = np.zeros(21)
             w[10] = 1.0
             with pytest.raises(EqualizerDivergence) as err:
-                fn(x, w, symbols, PAM4, x.size, mu, mu)
+                fn(x, w, PAM4, 0, mu)
             raised.append((err.value.mu, str(err.value), w))
         *kernels, (mu_ref, msg_ref, w_ref) = raised
         for mu_new, msg_new, w_new in kernels:
@@ -269,19 +265,21 @@ class TestLmsBatchParity:
     def test_pass_matches_serial_per_stream(self, case):
         n_streams, n_taps, n, seed = case
         streams, reference = colored_streams(n, n_streams, seed)
-        desired = reference.levels
         mu = 0.05 * 2.0 / (n_taps * float(np.mean(PAM4**2)))
-        args = (PAM4, n // 10, min(1e-3, mu), min(1e-4, mu))
+        args = (PAM4, n // 10, min(1e-4, mu))
         w = center_spikes(n_streams, n_taps)
         failed = [None] * n_streams
         xp = padded(streams, n_taps)
-        outs = [_lms_pass_batch(xp, w, desired, *args, failed, n) for _ in range(2)]
+        passes = []
+        for _ in range(2):
+            _lms_pass_batch(xp, w, *args, failed)
+            passes.append(w.copy())
         assert failed == [None] * n_streams
         for b, x in enumerate(streams):
             w_ref = center_spikes(1, n_taps)[0]
-            for out in outs:
-                assert np.array_equal(out[b], oracle_lms_pass(x, w_ref, desired, *args))
-            assert np.array_equal(w[b], w_ref)
+            for taps in passes:
+                oracle_lms_pass(x, w_ref, *args)
+                assert np.array_equal(taps[b], w_ref)
 
     @settings(max_examples=8, deadline=None)
     @given(batch_cases())
@@ -296,7 +294,8 @@ class TestLmsBatchParity:
             taps, output, mse_train, mse_final = oracle_lms_equalize(x, reference, n_taps)
             assert np.array_equal(eq.taps.coefficients, taps)
             assert np.array_equal(eq.output, output)
-            assert (eq.mse_train, eq.mse_final) == (mse_train, mse_final)
+            assert eq.mse_final == mse_final
+            assert eq.mse_train == pytest.approx(mse_train, rel=1e-9)
             single = lms_equalize(x, reference, n_taps)
             assert np.array_equal(single.output, output)
 
@@ -306,10 +305,10 @@ class TestLmsBatchParity:
         streams, reference = colored_streams(3 * 2048, n_streams, seed=8)
         bad = n_streams // 2
         streams[bad] = streams[bad] * gain
-        args = (reference.levels, PAM4, 614, 0.002, 0.002)
+        args = (PAM4, 614, 0.002)
         w = center_spikes(n_streams, 21)
         failed = [None] * n_streams
-        out = _lms_pass_batch(padded(streams, 21), w, *args, failed, streams[0].size)
+        _lms_pass_batch(padded(streams, 21), w, *args, failed)
         for b, x in enumerate(streams):
             w_ref = center_spikes(1, 21)[0]
             if b == bad:
@@ -319,8 +318,49 @@ class TestLmsBatchParity:
                 assert failed[b].mu == err.value.mu == 0.002
             else:
                 assert failed[b] is None
-                assert np.array_equal(out[b], oracle_lms_pass(x, w_ref, *args))
+                oracle_lms_pass(x, w_ref, *args)
             assert np.array_equal(w[b], w_ref)
+
+
+def recorded_prefixes(monkeypatch):
+    """The known-prefix lengths `_ls_start` is fitted on, one per call."""
+    prefixes = []
+    ls_start = adaptive._ls_start
+
+    def recorded(xp, desired, n_taps):
+        prefixes.append(desired.size)
+        return ls_start(xp, desired, n_taps)
+
+    monkeypatch.setattr(adaptive, "_ls_start", recorded)
+    return prefixes
+
+
+class TestKnownPrefix:
+    def test_at_most_half_the_block(self, monkeypatch):
+        # 4 symbols per tap of a 257-tap FFE would be the whole
+        # 1,024-symbol block, leaving nothing to equalize blind
+        prefixes = recorded_prefixes(monkeypatch)
+        exp = PamExperiment(rx=PamRxConfig(n_ffe_taps=257),
+                            channel=make_channel("paper_10km", voa_db=3.8, seed=4),
+                            payload_order=5, tx_preemphasis_taps=None)
+        exp.run_block(seed=1)
+        assert prefixes and all(0 < n <= 512 for n in prefixes)
+
+    @pytest.mark.parametrize("n_taps", [1, 21, 41])
+    def test_no_reference_symbol_is_read_past_it(self, monkeypatch, n_taps):
+        streams, reference = colored_streams(5000, 3, seed=12)
+        prefixes = recorded_prefixes(monkeypatch)
+        known = lms_equalize_batch(streams, reference, n_taps)
+        n_train = prefixes[0]
+        rng = np.random.default_rng(13)
+        indices = reference.indices.copy()
+        indices[n_train:] = rng.integers(0, 4, indices.size - n_train)
+        assert not np.array_equal(indices, reference.indices)
+        blind = lms_equalize_batch(streams, SymbolSequence(indices, PAM4), n_taps)
+        for a, b in zip(known, blind):
+            assert np.array_equal(a.taps.coefficients, b.taps.coefficients)
+            assert np.array_equal(a.output, b.output)
+            assert a.mse_train == b.mse_train
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +380,21 @@ class TestLsStart:
         monkeypatch.setattr(adaptive, "LS_SCRATCH_BYTES", scratch)
         (x,), reference = colored_streams(5000, 1, seed=9)
         desired = reference.levels[:700]
-        w = _ls_start(padded([x], n_taps)[0], desired, n_taps)
-        ref, *_ = np.linalg.lstsq(window_matrix(x, n_taps, 700), desired, rcond=None)
+        w, mse = _ls_start(padded([x], n_taps)[0], desired, n_taps)
+        windows = window_matrix(x, n_taps, 700)
+        ref, *_ = np.linalg.lstsq(windows, desired, rcond=None)
         np.testing.assert_allclose(w, ref, rtol=1e-9, atol=1e-12)
+        assert mse == pytest.approx(np.mean((windows @ ref - desired) ** 2), rel=1e-9)
 
     def test_singular_prefix_gets_the_minimum_norm_fit(self):
         # a constant block: every window is the same, so R has rank 1
         x = np.full(4096, 2.0)
         desired = colored_streams(4096, 1, seed=2)[1].levels[:500]
-        w = _ls_start(padded([x], 11)[0], desired, 11)
-        ref, *_ = np.linalg.lstsq(window_matrix(x, 11, 500), desired, rcond=None)
+        w, mse = _ls_start(padded([x], 11)[0], desired, 11)
+        windows = window_matrix(x, 11, 500)
+        ref, *_ = np.linalg.lstsq(windows, desired, rcond=None)
         np.testing.assert_allclose(w, ref, rtol=1e-9)
+        assert mse == pytest.approx(np.mean((windows @ ref - desired) ** 2), rel=1e-9)
 
     def test_scratch_does_not_grow_with_the_prefix(self, monkeypatch):
         # the whole 20,000 x 31 window matrix would be 4.96 MB
@@ -375,6 +419,14 @@ class TestLsStart:
 # ---------------------------------------------------------------------------
 # the pre-emphasis trainer: the LMS mean-weight recursion in closed form
 # ---------------------------------------------------------------------------
+
+def oracle_data_aided_lms(x, w, desired, mu):
+    """Per-sample data-aided LMS sweep over the cyclic block `x`; mutates `w`."""
+    xp = padded([x], w.size)[0]
+    for k in range(x.size):
+        win = xp[k : k + w.size][::-1]
+        w += mu * (desired[k] - float(w @ win)) * win
+
 
 def preemphasis_probe(partial):
     """The trainer's probe and its waveform after `TX_DRIVER_STAGES`, as
@@ -425,7 +477,7 @@ class TestPreemphasisClosedForm:
                              ids=["nyquist_11", "pr_11", "pr_5"])
     def test_close_to_the_per_sample_lms(self, n_taps, partial, bound):
         """The closed form follows the LMS in the mean, so its taps differ
-        from `PREEMPHASIS_PASSES` per-sample sweeps of `oracle_lms_pass`
+        from `PREEMPHASIS_PASSES` per-sample sweeps of `oracle_data_aided_lms`
         only by the LMS's own fluctuation.  On the committed probes that
         relative difference measures 0.18% (11-tap Nyquist), 0.43% (11-tap
         PR) and 1.8% (5-tap PR); the bounds are twice that: 0.36%, 0.86%
@@ -434,12 +486,10 @@ class TestPreemphasisClosedForm:
         closed = train_preemphasis_waveform(shaped, observed, n_taps).coefficients
         desired = shaped.samples
         gain = np.sqrt(np.mean(desired**2) / np.mean(observed.samples**2))
-        levels = np.array([np.min(desired), np.max(desired) + 1e-9])
         w = np.zeros(n_taps)
         w[n_taps // 2] = 1.0
-        mu = adaptive.PREEMPHASIS_MU
         for _ in range(adaptive.PREEMPHASIS_PASSES):
-            oracle_lms_pass(observed.samples * gain, w, desired, levels, desired.size, mu, mu)
+            oracle_data_aided_lms(observed.samples * gain, w, desired, adaptive.PREEMPHASIS_MU)
         lms = w * gain
         assert np.linalg.norm(closed - lms) / np.linalg.norm(lms) < bound
 
@@ -600,6 +650,25 @@ class TestMlseBatchParity:
         assert_batch_matches_oracle(ys, cfgs)
         assert loops == [adaptive.MLSE_BATCH_STATES, 64]
 
+    def test_digit_table_bound_splits_long_blocks(self, monkeypatch):
+        # 8 memory-2 trellises (128 summed states, under the state cap) on
+        # 4**12 symbols: each digit table is 2**28 bytes, at the bound, so
+        # each stream runs in a loop of its own.  The stub records the
+        # groups; the broadcast inputs allocate nothing.
+        groups = []
+
+        def recorded(ys, trellises):
+            groups.append(sum(cfg.n_states for cfg in trellises))
+            return [None] * len(ys)
+
+        monkeypatch.setattr(adaptive, "_viterbi", recorded)
+        n = 4**12
+        cfg = MlseConfig.for_fir_channel(np.array([1.0, 0.5, 0.25]), PAM4)
+        ys = [np.broadcast_to(np.zeros(1), (n,)) for _ in range(8)]
+        mlse_detect_batch(ys, [cfg] * 8)
+        assert groups == [16] * 8
+        assert max(groups) * n <= adaptive.MLSE_MAX_DIGIT_BYTES
+
     def test_unequal_lengths_rejected(self):
         cfg = MlseConfig.partial_response(PAM4)
         with pytest.raises(ValueError, match="equal lengths"):
@@ -618,7 +687,7 @@ class TestGoldenBlockCounts:
     @pytest.mark.parametrize(
         "rx, errors",
         [
-            (PamRxConfig(n_ffe_taps=41), 192),
+            (PamRxConfig(n_ffe_taps=41), 193),
             (PamRxConfig(n_ffe_taps=41, mlse_memory=2), 148),
             (PamRxConfig(n_ffe_taps=21, mlse_memory=2, partial_response=True), 97),
         ],
