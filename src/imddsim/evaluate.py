@@ -19,7 +19,7 @@ from . import dmt as dmt_mod
 from . import link as link_mod
 from . import pam as pam_mod
 from .adaptive import train_preemphasis_waveform
-from .link import ChannelModel, apply_channel
+from .link import ChannelModel, NoiseSpec, add_noise, apply_channel
 # raised_cosine_shape is unused here, and train_preemphasis names the one
 # trainer: both stay bound because perfbench/spans.py wraps them by name
 from .sigproc import (SampleBuffer, SimulationError, SymbolSequence, debruijn_sequence,
@@ -84,6 +84,31 @@ def _payload(order: int) -> SymbolSequence:
     return debruijn_sequence(4, order)
 
 
+@lru_cache(maxsize=4)
+def _payload_bits(order: int) -> np.ndarray:
+    """The bits of payload `order`, demapped once (read-only, a byte each)."""
+    bits = pam_mod.pam4_demap(_payload(order).indices).astype(np.uint8)
+    bits.setflags(write=False)
+    return bits
+
+
+@lru_cache(maxsize=1)
+def _transmitted(tx: pam_mod.PamTxConfig, order: int) -> SampleBuffer:
+    """The DAC waveform of payload `order` from transmitter `tx`, which every
+    block of the sweep points that share the transmitter sends (one entry,
+    1.5 * 4**order samples)."""
+    return pam_mod.pam_transmit(_payload_bits(order), tx)
+
+
+@lru_cache(maxsize=1)
+def _noiseless(tx: pam_mod.PamTxConfig, order: int, link: ChannelModel) -> SampleBuffer:
+    """`_transmitted(tx, order)` through the noise-free `link`: what every
+    block of one point receives before its noise (one entry, one waveform).
+    It runs through `apply_channel`, the link boundary that
+    perfbench/spans.py wraps, so the trace sees each link run."""
+    return apply_channel(_transmitted(tx, order), link)
+
+
 _PROBE_ORDER = 8  # the pre-emphasis probe: 4**8 symbols, 98,304 DAC samples
 
 
@@ -146,15 +171,15 @@ class PamExperiment:
         return replace(tx, level_adjust=pam_mod.level_adjustment_for_eml(tx.n_levels))
 
     def run_block(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        bits, received = self._received(seed)
-        rx_bits = pam_mod.pam_receive(received, self.rx, _payload(self.payload_order))
-        return bits, rx_bits
+        rx_bits = pam_mod.pam_receive(self._received(seed), self.rx, _payload(self.payload_order))
+        return _payload_bits(self.payload_order), rx_bits
 
-    def _received(self, seed: int) -> tuple[np.ndarray, SampleBuffer]:
-        """The payload bits and block `seed` of their received waveform."""
-        bits = pam_mod.pam4_demap(_payload(self.payload_order).indices)
-        wave = pam_mod.pam_transmit(bits, self.resolve_tx())
-        return bits, apply_channel(wave, self.channel, seed=seed)
+    def _received(self, seed: int) -> SampleBuffer:
+        """Block `seed` of the received payload waveform: the cached
+        noiseless link output, plus this block's receiver noise."""
+        link = replace(self.channel, noise=NoiseSpec(), seed=0)
+        received = _noiseless(self.resolve_tx(), self.payload_order, link)
+        return add_noise(received, self.channel, seed)
 
 
 @dataclass(frozen=True)
@@ -272,7 +297,7 @@ def run_blocks(pairs) -> list[BerReport | SimulationError]:
 def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
     """Run the PAM blocks `pairs[i]` for i in `members`, which share one
     FFE length, payload and format, into `outcomes[i]`: each block's
-    transmit, channel and receive front end, then one
+    received waveform and receive front end, then one
     :func:`pam.pam_back_end` for the blocks whose front end ran."""
     first = pairs[members[0]][0]
     payload = _payload(first.payload_order)
@@ -282,12 +307,12 @@ def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
     for i in members:
         experiment, seed = pairs[i]
         try:
-            _, received = experiment._received(seed)
+            received = experiment._received(seed)
             fronts.append(pam_mod.pam_front_end(received, experiment.rx, reference))
             running.append(i)
         except SimulationError as exc:  # a failed block is recorded, the others run on
             outcomes[i] = exc
-    bits = pam_mod.pam4_demap(payload.indices)
+    bits = _payload_bits(first.payload_order)
     cfgs = [pairs[i][0].rx for i in running]
     for i, rx_bits in zip(running, pam_mod.pam_back_end(fronts, cfgs, payload)):
         outcomes[i] = rx_bits if isinstance(rx_bits, SimulationError) else count_ber(bits, rx_bits)

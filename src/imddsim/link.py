@@ -231,11 +231,22 @@ class NoiseSpec:
 
     Either an absolute standard deviation in normalized electrical units
     (`sigma`), or a target SNR in dB relative to the measured signal power
-    at the injection point (`snr_db`).  Exactly one should be active.
+    at the injection point (`snr_db`).  At most one is active: a negative
+    or non-finite sigma, a NaN SNR and a nonzero sigma beside an SNR are
+    rejected, since the noise half of the link would not add them.
     """
 
     sigma: float = 0.0
     snr_db: float | None = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
+        if self.snr_db is not None:
+            if math.isnan(self.snr_db):
+                raise ValueError("noise snr_db must not be NaN")
+            if self.sigma > 0:
+                raise ValueError("give the noise as sigma or as snr_db, not both")
 
     def sigma_for(self, signal: np.ndarray) -> float:
         if self.snr_db is not None:
@@ -289,25 +300,39 @@ def transmit_optical(tx: SampleBuffer, model: ChannelModel) -> SampleBuffer:
     return optical
 
 
+def noiseless(tx: SampleBuffer, model: ChannelModel) -> SampleBuffer:
+    """The link without its receiver noise: :func:`transmit_optical`, then on
+    the hardware link fiber and VOA loss, `RX_STAGES`, AC coupling and TIA
+    saturation.  A flat link passes the waveform through."""
+    optical = transmit_optical(tx, model)
+    if not model.hardware:
+        return optical
+    attenuated = SampleBuffer(optical.samples * 10.0 ** (-model.loss_db / 10.0), optical.sample_rate)
+    x = apply_stages(attenuated, RX_STAGES).samples
+    x = x - np.mean(x)  # AC-coupled TIA
+    return pin_tia_saturation(SampleBuffer(x, optical.sample_rate), PAPER_SATURATION_KNEE_MW)
+
+
+def add_noise(signal: SampleBuffer, model: ChannelModel, seed: int | None) -> SampleBuffer:
+    """`signal` plus the link's receiver noise, drawn from `seed` (the
+    model's own seed when None); the signal itself when the noise is zero."""
+    x = signal.samples
+    sigma = model.noise.sigma_for(x)
+    if sigma == 0:
+        return signal
+    rng = np.random.default_rng(model.seed if seed is None else seed)
+    return SampleBuffer(x + rng.normal(0.0, sigma, size=x.size), signal.sample_rate)
+
+
 def apply_channel(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) -> SampleBuffer:
-    """Run a transmit waveform through the full modeled link.
+    """Run a transmit waveform through the full modeled link:
+    :func:`noiseless`, then :func:`add_noise`.
 
     Output is the received electrical waveform in normalized units
     (photocurrent proportional to optical power, AC-coupled).  Extreme
     attenuation yields a noise-dominated output, never a failure.
     """
-    optical = transmit_optical(tx, model)
-    x = optical.samples
-    if model.hardware:
-        attenuated = SampleBuffer(x * 10.0 ** (-model.loss_db / 10.0), optical.sample_rate)
-        x = apply_stages(attenuated, RX_STAGES).samples
-        x = x - np.mean(x)  # AC-coupled TIA
-        x = pin_tia_saturation(SampleBuffer(x, optical.sample_rate), PAPER_SATURATION_KNEE_MW).samples
-    sigma = model.noise.sigma_for(x)
-    if sigma > 0:
-        rng = np.random.default_rng(model.seed if seed is None else seed)
-        x = x + rng.normal(0.0, sigma, size=x.size)
-    return SampleBuffer(x, optical.sample_rate)
+    return add_noise(noiseless(tx, model), model, seed)
 
 
 # ---------------------------------------------------------------------------

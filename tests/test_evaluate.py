@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from imddsim import adaptive
+from imddsim import link as link_mod
+from imddsim import pam as pam_mod
 from imddsim.cli import _fmt, _result_rows, _write_csv
 from imddsim.dmt import DmtConfig, LoadingError, SyncError
 from imddsim.evaluate import (
@@ -16,7 +18,11 @@ from imddsim.evaluate import (
     SweepPoint,
     SweepSpec,
     _PROBE_ORDER,
+    _noiseless,
+    _payload,
+    _payload_bits,
     _trained_preemphasis,
+    _transmitted,
     count_ber,
     latency_budget,
     measure_extinction_and_oma,
@@ -24,7 +30,7 @@ from imddsim.evaluate import (
     run_sweep,
     wilson_interval,
 )
-from imddsim.link import CHANNEL_PRESETS, make_channel
+from imddsim.link import CHANNEL_PRESETS, apply_channel, make_channel
 from imddsim.pam import OVERSAMPLE, PamRxConfig, PayloadSyncError, level_adjustment_for_eml
 from imddsim.sigproc import SampleBuffer, SimulationError
 
@@ -484,3 +490,120 @@ class TestExperimentPipelines:
     def test_dmt_loading_cached_and_exact(self):
         exp = DmtExperiment(cfg=DmtConfig(), channel=make_channel("paper_10km", seed=2))
         assert exp.loading().total_bits == 716
+
+
+def _nyquist_mc():
+    """The points and spec of the nyquist_mc benchmark: fig16's 10 km VOA
+    points, 2 blocks each."""
+    rx = PamRxConfig(n_ffe_taps=41)
+    points = [PamExperiment(rx, make_channel("paper_10km", voa_db=voa, seed=16))
+              for voa in (2.8, 3.8, 4.8)]
+    return points, SweepSpec(blocks=2, base_seed=16)
+
+
+def _pr_mlse():
+    """The points and spec of the pr_mlse benchmark: PR PAM4 at MLSE memory
+    1, 2 and 3 over one back-to-back link, one block each."""
+    channel = make_channel("paper_b2b", voa_db=2.0, seed=15)
+    points = [PamExperiment(PamRxConfig(n_ffe_taps=21, mlse_memory=m, partial_response=True),
+                            channel) for m in (1, 2, 3)]
+    return points, SweepSpec(blocks=1, base_seed=15)
+
+
+def _cold():
+    _transmitted.cache_clear()
+    _noiseless.cache_clear()
+
+
+def _misses() -> tuple[int, int]:
+    return _transmitted.cache_info().misses, _noiseless.cache_info().misses
+
+
+class TestPamWaveformCaches:
+    """A PAM block builds only its noise: the transmit waveform is cached per
+    transmitter and payload, the noiseless link output per link."""
+
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("voa_db", [1.0, 4.0])
+    def test_received_equals_the_uncached_chain(self, partial, voa_db):
+        rx = PamRxConfig(n_ffe_taps=11, mlse_memory=1 if partial else None,
+                         partial_response=partial)
+        exp = PamExperiment(rx, make_channel("paper_10km", voa_db=voa_db, seed=5), payload_order=6)
+        bits = pam_mod.pam4_demap(_payload(6).indices)
+        for seed in (3, 4):
+            uncached = apply_channel(pam_mod.pam_transmit(bits, exp.resolve_tx()), exp.channel, seed)
+            received = exp._received(seed)
+            assert np.array_equal(received.samples, uncached.samples)
+            assert received.sample_rate == uncached.sample_rate
+
+    def test_each_cache_holds_one_waveform(self):
+        assert _transmitted.cache_info().maxsize == 1
+        assert _noiseless.cache_info().maxsize == 1
+
+    def test_blocks_of_one_point_hit(self):
+        exp = PamExperiment(PamRxConfig(n_ffe_taps=11), make_channel("paper_b2b", seed=2),
+                            payload_order=6)
+        _cold()
+        for seed in (1, 2, 3):
+            exp._received(seed)
+        assert _misses() == (1, 1)
+        assert _noiseless.cache_info().hits == 2
+
+    @pytest.mark.parametrize("change, misses", [
+        ("voa", (0, 1)), ("tx_taps", (1, 1)), ("format", (1, 1)), ("payload", (1, 1)),
+        ("channel_seed", (0, 0)),
+    ])
+    def test_another_point_misses(self, change, misses):
+        base = PamExperiment(PamRxConfig(n_ffe_taps=11), make_channel("paper_b2b", seed=2),
+                             payload_order=6)
+        other = {
+            "voa": replace(base, channel=make_channel("paper_b2b", voa_db=3.0, seed=2)),
+            "tx_taps": replace(base, tx_preemphasis_taps=5),
+            "format": replace(base, rx=PamRxConfig(n_ffe_taps=11, mlse_memory=1,
+                                                   partial_response=True)),
+            "payload": replace(base, payload_order=7),
+            # the noise seed does not reach the noiseless link
+            "channel_seed": replace(base, channel=make_channel("paper_b2b", seed=9)),
+        }[change]
+        base._received(1)
+        before = _misses()
+        other._received(1)
+        assert tuple(a - b for a, b in zip(_misses(), before)) == misses
+
+    def test_cached_arrays_are_read_only(self):
+        exp = PamExperiment(PamRxConfig(n_ffe_taps=11), make_channel("paper_b2b", seed=2),
+                            payload_order=6)
+        exp._received(1)
+        link = replace(exp.channel, noise=link_mod.NoiseSpec(), seed=0)
+        for samples in (_transmitted(exp.resolve_tx(), 6).samples,
+                        _noiseless(exp.resolve_tx(), 6, link).samples, _payload_bits(6)):
+            with pytest.raises(ValueError):
+                samples[0] = 0
+
+    @pytest.mark.parametrize("workload, transmits, links", [
+        (_nyquist_mc, 1, 3), (_pr_mlse, 1, 1),
+    ])
+    def test_a_sweep_transmits_once_and_runs_each_link_once(self, monkeypatch, workload,
+                                                             transmits, links):
+        calls = {"transmit": 0, "link": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pam_mod, "pam_transmit", counted("transmit", pam_mod.pam_transmit))
+        monkeypatch.setattr(link_mod, "noiseless", counted("link", link_mod.noiseless))
+        points, spec = workload()
+        _cold()
+        run_sweep(points, spec)
+        assert calls == {"transmit": transmits, "link": links}
+
+    def test_warm_sweep_equals_cold_sweep(self):
+        points, spec = _nyquist_mc()
+        _cold()
+        cold = run_sweep(points, spec)
+        warm = run_sweep(points, spec)
+        assert cold == warm
+        assert all(point.report is not None for point in cold)

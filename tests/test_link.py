@@ -1,4 +1,6 @@
 """Tests for the parametric hardware link model."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from imddsim.link import (
     EML_V_MIN,
     ChannelModel,
     FilterStage,
+    NoiseSpec,
+    add_noise,
     apply_channel,
     apply_stages,
     cascade_response,
@@ -15,6 +19,7 @@ from imddsim.link import (
     eml_modulate,
     eml_power_mw,
     make_channel,
+    noiseless,
     pin_tia_saturation,
     preset_summary,
     CHANNEL_PRESETS,
@@ -271,3 +276,43 @@ class TestApplyChannel:
             "launch 1 dBm noise sigma 0.003"
         )
         assert preset_summary("awgn_only") == "awgn_only: all stages flat AWGN at 20 dB SNR"
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("spec", [dict(sigma=-0.5), dict(sigma=float("nan")),
+                                      dict(sigma=float("inf")), dict(sigma=0.5, snr_db=60.0),
+                                      dict(snr_db=float("nan"))])
+    def test_noise_it_would_not_add_is_rejected(self, spec):
+        # each of these once added no noise, or only the SNR's
+        with pytest.raises(ValueError):
+            NoiseSpec(**spec)
+
+    def test_one_active_noise_is_accepted(self):
+        assert NoiseSpec().sigma_for(np.ones(4)) == 0.0
+        assert NoiseSpec(sigma=0.003).sigma_for(np.ones(4)) == 0.003
+        assert NoiseSpec(sigma=0.0, snr_db=20.0).sigma_for(np.ones(4)) == pytest.approx(0.1)
+
+
+class TestChannelSplit:
+    """`apply_channel` is exactly its noiseless half, then its noise half."""
+
+    @pytest.mark.parametrize("preset", CHANNEL_PRESETS)
+    def test_apply_channel_is_noise_on_the_noiseless_link(self, preset):
+        sig = SampleBuffer(np.random.default_rng(4).normal(size=6000), 84e9)
+        model = make_channel(preset, voa_db=1.5, seed=8)
+        for seed in (None, 17):
+            direct = apply_channel(sig, model, seed=seed)
+            split = add_noise(noiseless(sig, model), model, seed=seed)
+            assert np.array_equal(direct.samples, split.samples)
+            assert direct.sample_rate == split.sample_rate
+
+    def test_noise_free_link_draws_no_random_numbers(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a noise-free link drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        sig = SampleBuffer(np.linspace(-1.0, 1.0, 512), 84e9)
+        assert apply_channel(sig, make_channel("ideal"), seed=3) is sig
+        quiet = replace(make_channel("paper_b2b"), noise=NoiseSpec())
+        received = noiseless(sig, quiet)
+        assert add_noise(received, quiet, seed=3) is received
