@@ -81,6 +81,7 @@ def count_ber(tx_bits, rx_bits) -> BerReport:
 
 @lru_cache(maxsize=4)
 def _payload(order: int) -> SymbolSequence:
+    """The PAM4 de Bruijn payload of `order`; the one place it is held."""
     return debruijn_sequence(4, order)
 
 
@@ -168,7 +169,7 @@ class PamExperiment:
         if self.tx_preemphasis_taps is not None:
             taps = _trained_preemphasis(self.tx_preemphasis_taps, tx.dac_rate, tx.partial_response)
             tx = replace(tx, pre_emphasis_taps=taps)
-        return replace(tx, level_adjust=pam_mod.level_adjustment_for_eml(tx.n_levels))
+        return replace(tx, level_adjust=True)
 
     def run_block(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         rx_bits = pam_mod.pam_receive(self._received(seed), self.rx, _payload(self.payload_order))
@@ -300,8 +301,7 @@ def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
     received waveform and receive front end, then one
     :func:`pam.pam_back_end` for the blocks whose front end ran."""
     first = pairs[members[0]][0]
-    payload = _payload(first.payload_order)
-    reference = pam_mod.ffe_reference(payload, first.rx)
+    reference = pam_mod.ffe_reference(_payload(first.payload_order), first.rx)
     fronts = []
     running = []
     for i in members:
@@ -314,7 +314,7 @@ def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
             outcomes[i] = exc
     bits = _payload_bits(first.payload_order)
     cfgs = [pairs[i][0].rx for i in running]
-    for i, rx_bits in zip(running, pam_mod.pam_back_end(fronts, cfgs, payload)):
+    for i, rx_bits in zip(running, pam_mod.pam_back_end(fronts, cfgs, reference)):
         outcomes[i] = rx_bits if isinstance(rx_bits, SimulationError) else count_ber(bits, rx_bits)
 
 

@@ -1,9 +1,10 @@
 """Nyquist PAM4 and partial-response PAM4 transmit/receive chains.
 
-Gray mapping, delay-and-add partial-response encoding, modulator level
-adjustment, and the full DAC-rate transmit and symbol-rate receive paths.
-The adaptive blocks (FFE, MLSE, clock recovery) live in
-:mod:`imddsim.adaptive`.
+Gray mapping, delay-and-add partial-response encoding, the drive levels
+that pre-compensate the EML curve, the transmitter as the modeled 84 GS/s
+DAC (shaped straight to its rate, clipped, quantized), and the
+symbol-rate receive path.  The adaptive blocks (FFE, MLSE, clock recovery)
+live in :mod:`imddsim.adaptive`.
 """
 from __future__ import annotations
 
@@ -76,31 +77,14 @@ def pr_encode(symbols: SymbolSequence) -> SymbolSequence:
 # level adjustment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LevelAdjustment:
-    """Adjusted symbol levels that pre-compensate the modulator curve.
-
-    Values live on the scale of the nominal equidistant alphabet
-    2k - (n - 1).
-    """
-
-    target_levels: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.target_levels, self.target_levels[1:])):
-            raise ValueError("adjusted levels must be monotone increasing")
-
-    @property
-    def alphabet(self) -> np.ndarray:
-        return np.asarray(self.target_levels)
-
-
-def level_adjustment_for_eml(n_levels: int) -> LevelAdjustment:
-    """Derive adjusted drive levels giving equally spaced optical powers.
+def level_adjustment_for_eml(n_levels: int) -> np.ndarray:
+    """The `n_levels` drive levels, increasing, that give equally spaced
+    optical powers.
 
     Inverts the EML transfer curve at its operating point: a full-swing
     (+/-1 V) drive of the top/bottom adjusted level lands on equally
-    spaced power levels after the modulator.
+    spaced power levels after the modulator.  The levels live on the scale
+    of the nominal equidistant alphabet 2k - (n - 1).
     """
     nominal = 2.0 * np.arange(n_levels) - (n_levels - 1)
     span = nominal[-1]
@@ -108,8 +92,7 @@ def level_adjustment_for_eml(n_levels: int) -> LevelAdjustment:
     p_hi = float(eml_power_mw(EML_BIAS_V + 1.0))
     targets = np.linspace(p_lo, p_hi, n_levels)
     volts = eml_drive_for_power(targets)
-    levels = (volts - EML_BIAS_V) * span
-    return LevelAdjustment(tuple(levels))
+    return (volts - EML_BIAS_V) * span
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +103,7 @@ RC_BETA = 0.1
 """Roll-off of the raised-cosine (Nyquist) pulse shaping."""
 
 OVERSAMPLE = Fraction(3, 2)
-"""DAC samples per symbol.  The shaper runs at the numerator (3 samples per
-symbol) and every denominator-th (second) sample is kept."""
+"""DAC samples per symbol: the shaper runs straight at this rational rate."""
 
 DAC_BITS = 8
 """DAC resolution."""
@@ -129,21 +111,21 @@ DAC_BITS = 8
 
 @dataclass(frozen=True)
 class PamTxConfig:
-    """Transmit chain settings; symbol_rate * OVERSAMPLE is the DAC rate."""
+    """Transmit chain settings; symbol_rate * OVERSAMPLE is the DAC rate.
+
+    `level_adjust` sends the symbols on :func:`level_adjustment_for_eml`'s
+    drive levels instead of the equidistant alphabet.
+    """
 
     symbol_rate: float = 56e9
     partial_response: bool = False
-    level_adjust: LevelAdjustment | None = None
+    level_adjust: bool = False
     pre_emphasis_taps: tuple[float, ...] | None = None
     clipping_ratio_db: float | None = 15.0
 
     @property
     def dac_rate(self) -> float:
         return float(self.symbol_rate * OVERSAMPLE)
-
-    @property
-    def n_levels(self) -> int:
-        return 7 if self.partial_response else 4
 
 
 def adjusted_symbol_values(bits, cfg: PamTxConfig) -> SymbolSequence:
@@ -154,32 +136,26 @@ def adjusted_symbol_values(bits, cfg: PamTxConfig) -> SymbolSequence:
     seq = pam4_map(bits)
     if cfg.partial_response:
         seq = pr_encode(seq)
-    if cfg.level_adjust is not None:
-        adjust = cfg.level_adjust.alphabet
-        if adjust.size != seq.alphabet.size:
-            raise ValueError(
-                f"level adjustment has {adjust.size} levels, chain needs {seq.alphabet.size}"
-            )
-        return SymbolSequence(seq.indices, adjust)
+    if cfg.level_adjust:
+        return SymbolSequence(seq.indices, level_adjustment_for_eml(seq.alphabet.size))
     return seq
 
 
 def shape_pulses(levels: np.ndarray, symbol_rate: float) -> SampleBuffer:
-    """Symbol values to the DAC-rate waveform: raised cosine at `RC_BETA`
-    with 3 samples/symbol, then every second sample kept."""
+    """Symbol values to the DAC-rate waveform: raised cosine at `RC_BETA`,
+    shaped straight to `OVERSAMPLE` samples/symbol."""
     symbols = SampleBuffer(levels, symbol_rate)
-    shaped = sigproc.raised_cosine_shape(symbols, RC_BETA, OVERSAMPLE.numerator)
-    step = OVERSAMPLE.denominator
-    return SampleBuffer(shaped.samples[::step], shaped.sample_rate / step)
+    return sigproc.raised_cosine_shape(symbols, RC_BETA, OVERSAMPLE.numerator,
+                                       OVERSAMPLE.denominator)
 
 
 def pam_transmit(bits, cfg: PamTxConfig) -> SampleBuffer:
     """Full transmit chain to the DAC output waveform.
 
-    map -> optional delay-and-add -> level adjustment -> raised-cosine
-    shaping at 3 samples/symbol -> keep every second sample -> optional
-    pre-emphasis FIR -> clip -> quantize to the DAC resolution.  The
-    returned waveform runs at the DAC rate (84 GS/s for the 112 Gb/s
+    map -> optional delay-and-add -> optional EML level adjustment ->
+    raised-cosine shaping at the DAC rate -> optional pre-emphasis FIR ->
+    clip -> quantize to the `DAC_BITS` levels over the waveform's peak.
+    The returned waveform runs at the DAC rate (84 GS/s for the 112 Gb/s
     configuration) and includes the quantization error.
     """
     wave = shape_pulses(adjusted_symbol_values(bits, cfg).levels, cfg.symbol_rate)
@@ -188,9 +164,7 @@ def pam_transmit(bits, cfg: PamTxConfig) -> SampleBuffer:
         wave = SampleBuffer(adaptive.apply_taps_cyclic(wave.samples, taps), wave.sample_rate)
     if cfg.clipping_ratio_db is not None:
         wave = sigproc.clip(wave, cfg.clipping_ratio_db)
-    full_scale = float(np.max(np.abs(wave.samples)))
-    codes = sigproc.quantize(wave, DAC_BITS, full_scale)
-    return sigproc.dequantize(codes, DAC_BITS, full_scale)
+    return sigproc.quantize(wave, DAC_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +218,9 @@ def pam_receive(signal: SampleBuffer, cfg: PamRxConfig, payload: SymbolSequence)
     encoding).  Equalizer divergence and alignment failures raise rather
     than returning garbage bits.
     """
-    front = pam_front_end(signal, cfg, ffe_reference(payload, cfg))
-    (rx_bits,) = pam_back_end([front], [cfg], payload)
+    reference = ffe_reference(payload, cfg)
+    front = pam_front_end(signal, cfg, reference)
+    (rx_bits,) = pam_back_end([front], [cfg], reference)
     if isinstance(rx_bits, EqualizerDivergence):
         raise rx_bits
     return rx_bits
@@ -273,12 +248,13 @@ def pam_front_end(signal: SampleBuffer, cfg: PamRxConfig, reference: SymbolSeque
 def pam_back_end(
     fronts: list[np.ndarray],
     cfgs: list[PamRxConfig],
-    payload: SymbolSequence,
+    reference: SymbolSequence,
 ) -> list[np.ndarray | EqualizerDivergence]:
     """The receive chain from the FFE on for a batch of :func:`pam_front_end`
-    outputs of `payload`, block b received with ``cfgs[b]``: one FFE over
-    the batch (each block's least-squares start, then one LMS pass), each
-    block's hard decision or MLSE, then demap.
+    outputs aligned to `reference` (see :func:`ffe_reference`), block b
+    received with ``cfgs[b]``: one FFE over the batch (each block's
+    least-squares start, then one LMS pass), each block's hard decision or
+    MLSE, then demap.
 
     The blocks share one FFE length and format.  Each gets its bits or,
     when it diverged, its EqualizerDivergence.  Every MLSE block, each on
@@ -288,7 +264,6 @@ def pam_back_end(
     """
     if not fronts:
         return []
-    reference = ffe_reference(payload, cfgs[0])
     equalized = adaptive.lms_equalize_batch(fronts, reference, cfgs[0].n_ffe_taps)
     fronts.clear()
     alphabet = np.asarray(PAM4_LEVELS)
@@ -303,19 +278,20 @@ def pam_back_end(
             indices[b] = np.searchsorted(mids, eq.output)
         else:
             mlse_blocks.append(b)
-    trellises = [_trellis(equalized[b].output, cfgs[b], payload) for b in mlse_blocks]
+    trellises = [_trellis(equalized[b].output, cfgs[b], reference) for b in mlse_blocks]
     detected = adaptive.mlse_detect_batch([equalized[b].output for b in mlse_blocks], trellises)
     for b, sequence in zip(mlse_blocks, detected):
         indices[b] = sequence.indices
     return [i if isinstance(i, EqualizerDivergence) else pam4_demap(i) for i in indices]
 
 
-def _trellis(equalized: np.ndarray, cfg: PamRxConfig, payload: SymbolSequence) -> MlseConfig:
+def _trellis(equalized: np.ndarray, cfg: PamRxConfig, reference: SymbolSequence) -> MlseConfig:
     """The MLSE trellis of one block: delay-and-add for partial response,
-    else the residual channel fitted to the equalized block."""
+    else the residual channel fitted to the equalized block against
+    `reference`, which for Nyquist PAM4 is the payload."""
     if cfg.partial_response:
         return MlseConfig.partial_response(PAM4_LEVELS)
-    h = _fit_residual_channel(equalized, payload.levels, cfg.trellis_memory)
+    h = _fit_residual_channel(equalized, reference.levels, cfg.trellis_memory)
     return MlseConfig.for_fir_channel(h, PAM4_LEVELS, start_symbol=None)
 
 

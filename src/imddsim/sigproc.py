@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -208,26 +207,22 @@ def raised_cosine_shape(
 # sequences
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
 def _debruijn_indices(alphabet_size: int, order: int) -> np.ndarray:
-    # standard greedy Lyndon-word (FKM) construction
+    # the FKM construction: the Lyndon words whose length divides the
+    # order, generated in lexicographic order (Duval's iteration), concatenated
     k, n = alphabet_size, order
-    a = [0] * (k * n)
     seq: list[int] = []
-
-    def db(t: int, p: int) -> None:
-        if t > n:
-            if n % p == 0:
-                seq.extend(a[1 : p + 1])
-        else:
-            a[t] = a[t - p]
-            db(t + 1, p)
-            for j in range(a[t - p] + 1, k):
-                a[t] = j
-                db(t + 1, t)
-
-    db(1, 1)
-    return _readonly(np.array(seq, dtype=np.int64))
+    word = [-1]
+    while word:
+        word[-1] += 1
+        m = len(word)
+        if n % m == 0:
+            seq.extend(word)
+        while len(word) < n:
+            word.append(word[-m])
+        while word and word[-1] == k - 1:
+            word.pop()
+    return np.array(seq, dtype=np.int64)
 
 
 def debruijn_sequence(alphabet_size: int, order: int) -> SymbolSequence:
@@ -266,11 +261,12 @@ def clip(signal: SampleBuffer, clipping_ratio_db: float) -> SampleBuffer:
 
 
 def quantize(signal: SampleBuffer, bits: int, full_scale: float | None = None) -> SampleBuffer:
-    """Uniform quantization to integer codes 0 .. 2**bits - 1.
+    """Uniform quantization onto the 2**bits levels a DAC reconstructs.
 
-    [-full_scale, +full_scale] maps onto the code range; inputs beyond it
-    saturate at the extreme codes.  `full_scale` defaults to the peak input
-    amplitude so the full converter resolution is used.
+    [-full_scale, +full_scale] maps onto the code range 0 .. 2**bits - 1,
+    inputs beyond it saturate at the extreme codes, and each code is
+    returned as its level on that span.  `full_scale` defaults to the peak
+    input amplitude so the full converter resolution is used.
     """
     if bits < 1:
         raise ValueError("need at least 1 bit of resolution")
@@ -280,15 +276,8 @@ def quantize(signal: SampleBuffer, bits: int, full_scale: float | None = None) -
         if full_scale == 0.0:
             full_scale = 1.0
     n_codes = (1 << bits) - 1
-    codes = np.rint((x + full_scale) / (2.0 * full_scale) * n_codes)
-    return SampleBuffer(np.clip(codes, 0, n_codes), signal.sample_rate)
-
-
-def dequantize(codes: SampleBuffer, bits: int, full_scale: float) -> SampleBuffer:
-    """Map quantizer codes back to amplitudes (the DAC reconstruction values)."""
-    n_codes = (1 << bits) - 1
-    amp = codes.samples / n_codes * (2.0 * full_scale) - full_scale
-    return SampleBuffer(amp, codes.sample_rate)
+    codes = np.clip(np.rint((x + full_scale) / (2.0 * full_scale) * n_codes), 0, n_codes)
+    return SampleBuffer(codes / n_codes * (2.0 * full_scale) - full_scale, signal.sample_rate)
 
 
 def fractional_delay(signal: SampleBuffer, delay_samples: float) -> SampleBuffer:

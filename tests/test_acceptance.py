@@ -5,7 +5,11 @@ or in captured output on failure).  Monte-Carlo comparisons follow the
 3-sigma-margin convention; error counts per point stay above 1e6 bits
 where the criterion demands it.
 """
+import csv
+import importlib.util
+import json
 import math
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -48,7 +52,17 @@ from imddsim.sigproc import SampleBuffer, resample
 from spectral_helpers import frequency_response, occupied_bandwidth
 
 PAM4 = np.array([-3.0, -1.0, 1.0, 3.0])
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+GOLDEN_POINTS = Path(__file__).resolve().parent / "golden_points.json"
+
+# the benchmark's Monte-Carlo parity rule and its calibrated dispersions,
+# read from perfbench as they stand
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+DISPERSION_WORKLOAD = {"nyquist_pam4": "nyquist_mc", "pr_pam4": "pr_mlse", "dmt": "dmt_fft"}
 
 
 def report(criterion, description, passed, detail=""):
@@ -435,16 +449,43 @@ def test_criterion_8_committed_config_determinism(tmp_path):
     )
 
 
+def golden_point_failures(name, fmt, out_dir, golden):
+    """How the run's points differ from their recorded counts: the labels,
+    `bits_total` and the error cell exactly, the bit errors within the
+    benchmark's 3-sigma rule at the format's dispersion.  A failed point
+    has no counts; its recorded ones are null."""
+    with (out_dir / golden["file"]).open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if len(rows) != len(golden["points"]):
+        return [f"{name}: {len(rows)} points, recorded {len(golden['points'])}"]
+    dispersion = workloads.load_reference(DISPERSION_WORKLOAD[fmt])["dispersion"]
+    failures = []
+    for row, ref in zip(rows, golden["points"]):
+        label = f"{name} {ref['point']}"
+        if any(row[k] != v for k, v in ref["point"].items()):
+            failures.append(f"{label}: row labels {row}")
+        elif (row["bits_total"], row["error"]) != (str(ref["bits_total"] or ""), ref["error"]):
+            failures.append(f"{label}: {row['bits_total']} bits, error {row['error']!r}")
+        elif ref["error"] == "" and not workloads.within_three_sigma(
+                int(row["bit_errors"]), ref["bit_errors"], dispersion):
+            failures.append(f"{label}: {row['bit_errors']} errors, recorded {ref['bit_errors']}")
+    return failures
+
+
 def test_criterion_8_all_committed_configs_run(tmp_path):
     t0 = time.time()
+    golden = json.loads(GOLDEN_POINTS.read_text())
     failures = []
     for path in sorted(CONFIGS.glob("*.cfg")):
         cfg = parse_config(path)
         rc = cli_main(["--config", str(path), "--out", str(tmp_path / path.stem)])
         if rc != 0:
             failures.append(f"{path.name} (exit {rc})")
+            continue
+        failures += golden_point_failures(path.stem, cfg.format, tmp_path / path.stem,
+                                          golden[path.stem])
     report(
-        "criterion 8+", "every committed config runs to completion", not failures,
+        "criterion 8+", "every committed config runs to its recorded points", not failures,
         (", ".join(failures) if failures else f"{len(list(CONFIGS.glob('*.cfg')))} configs")
         + f" ({time.time()-t0:.0f}s)",
     )

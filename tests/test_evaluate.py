@@ -31,7 +31,7 @@ from imddsim.evaluate import (
     wilson_interval,
 )
 from imddsim.link import CHANNEL_PRESETS, apply_channel, make_channel
-from imddsim.pam import OVERSAMPLE, PamRxConfig, PayloadSyncError, level_adjustment_for_eml
+from imddsim.pam import OVERSAMPLE, PamRxConfig, PayloadSyncError
 from imddsim.sigproc import SampleBuffer, SimulationError
 
 
@@ -447,8 +447,7 @@ class TestResolveTx:
                             tx_preemphasis_taps=None)
         tx = exp.resolve_tx()
         assert tx.pre_emphasis_taps is None
-        expected = level_adjustment_for_eml(4) if preset.startswith("paper") else None
-        assert tx.level_adjust == expected
+        assert tx.level_adjust is preset.startswith("paper")
 
 
 class TestExperimentPipelines:
@@ -599,6 +598,19 @@ class TestPamWaveformCaches:
         _cold()
         run_sweep(points, spec)
         assert calls == {"transmit": transmits, "link": links}
+
+    def test_a_payload_is_held_once(self):
+        # order 10 is a payload no other test builds: 4**10 int64 indices, 8 MiB
+        tracemalloc.start()
+        try:
+            _payload.cache_clear()
+            before, _ = tracemalloc.get_traced_memory()
+            assert len(_payload(10)) == 4**10
+            _payload.cache_clear()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1 << 20
 
     def test_warm_sweep_equals_cold_sweep(self):
         points, spec = _nyquist_mc()

@@ -13,7 +13,6 @@ from imddsim.link import EML_BIAS_V, NoiseSpec, eml_power_mw, make_channel
 from imddsim.pam import (
     GRAY_PAM4,
     PAM4_LEVELS,
-    LevelAdjustment,
     PamRxConfig,
     PamTxConfig,
     level_adjustment_for_eml,
@@ -25,6 +24,7 @@ from imddsim.pam import (
     pam_transmit,
     pr_encode,
     adjusted_symbol_values,
+    shape_pulses,
     _to_two_sps,
 )
 from imddsim.link import apply_channel
@@ -132,21 +132,25 @@ class TestPartialResponse:
 
 
 class TestLevelAdjustment:
-    def test_identity_is_nominal_alphabet(self):
-        np.testing.assert_array_equal(LevelAdjustment((-3.0, -1.0, 1.0, 3.0)).alphabet, [-3, -1, 1, 3])
-        assert LevelAdjustment(tuple(2.0 * np.arange(7) - 6)).alphabet.size == 7
+    def test_identity_is_nominal_alphabet(self, payload_bits):
+        # without the adjustment the symbols stay on the equidistant alphabet
+        for partial, n in ((False, 4), (True, 7)):
+            seq = adjusted_symbol_values(payload_bits, PamTxConfig(partial_response=partial))
+            np.testing.assert_array_equal(seq.alphabet, 2.0 * np.arange(n) - (n - 1))
+
+    @pytest.mark.parametrize("n_levels", [4, 7])
+    def test_strictly_increasing(self, n_levels):
+        levels = level_adjustment_for_eml(n_levels)
+        assert levels.shape == (n_levels,)
+        assert np.all(np.diff(levels) > 0)
 
     @pytest.mark.parametrize("n_levels", [4, 7])
     def test_equidistant_optical_levels(self, n_levels):
         adjust = level_adjustment_for_eml(n_levels)
-        drive = adjust.alphabet / np.max(np.abs(adjust.alphabet))
+        drive = adjust / np.max(np.abs(adjust))
         powers = eml_power_mw(EML_BIAS_V + drive)
         gaps = np.diff(powers)
         assert np.max(gaps) / np.min(gaps) - 1.0 < 0.01
-
-    def test_non_monotone_rejected(self):
-        with pytest.raises(ValueError):
-            LevelAdjustment((0.0, -1.0, 1.0, 2.0))
 
 
 class TestTransmit:
@@ -156,10 +160,10 @@ class TestTransmit:
         assert len(wave) == 65536 * 3 // 2
 
     def test_pr_has_seven_adjusted_levels_before_shaping(self, payload_bits):
-        adjust = level_adjustment_for_eml(7)
-        cfg = PamTxConfig(partial_response=True, level_adjust=adjust)
+        cfg = PamTxConfig(partial_response=True, level_adjust=True)
         seq = adjusted_symbol_values(payload_bits, cfg)
-        assert np.unique(seq.levels).size == 7
+        np.testing.assert_array_equal(seq.alphabet, level_adjustment_for_eml(7))
+        np.testing.assert_array_equal(np.unique(seq.levels), level_adjustment_for_eml(7))
 
     def test_occupied_band_within_31ghz(self, payload_bits):
         wave = pam_transmit(payload_bits, PamTxConfig(clipping_ratio_db=None))
@@ -181,10 +185,24 @@ class TestTransmit:
         )
         assert papr_db(boosted) > papr_db(plain)
 
-    def test_level_adjust_size_mismatch_rejected(self, payload_bits):
-        cfg = PamTxConfig(partial_response=True, level_adjust=LevelAdjustment((-3.0, -1.0, 1.0, 3.0)))
-        with pytest.raises(ValueError):
-            pam_transmit(payload_bits, cfg)
+
+class TestShapePulses:
+    """The shaper runs straight at 3/2 samples/symbol; the reference is the
+    raised cosine at 3 samples/symbol with every second sample kept."""
+
+    @pytest.mark.parametrize("alphabet", ["pam4", "pr", "eml_adjusted"])
+    @pytest.mark.parametrize("order", [5, 6, 7, 8, 9])
+    def test_equals_three_sps_then_every_second_sample(self, order, alphabet):
+        bits = pam4_demap(debruijn_sequence(4, order).indices)
+        cfg = PamTxConfig(partial_response=alphabet == "pr", level_adjust=alphabet == "eml_adjusted")
+        levels = adjusted_symbol_values(bits, cfg).levels
+        shaped = shape_pulses(levels, 56e9)
+        three_sps = raised_cosine_shape(SampleBuffer(levels, 56e9), 0.1, 3)
+        assert shaped.sample_rate == three_sps.sample_rate / 2 == 84e9
+        reference = three_sps.samples[::2]
+        assert shaped.samples.shape == reference.shape
+        peak = np.max(np.abs(reference))
+        assert np.max(np.abs(shaped.samples - reference)) <= 1e-14 * peak
 
 
 class TestReceive:

@@ -16,7 +16,6 @@ from imddsim.sigproc import (
     SymbolSequence,
     clip,
     debruijn_sequence,
-    dequantize,
     fft_pow2,
     fractional_delay,
     quantize,
@@ -216,6 +215,27 @@ class TestDebruijn:
         words = {tuple(np.roll(seq.indices, -s)[:n]) for s in range(len(seq))}
         assert len(words) == k**n
 
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 1), (4, 6), (5, 3), (6, 2)])
+    def test_fkm_order(self, k, n):
+        # the recursive FKM construction as the reference: the payload's
+        # symbol order, not only its window property, is what BER depends on
+        a = [0] * (k * n)
+        ref = []
+
+        def db(t, p):
+            if t > n:
+                if n % p == 0:
+                    ref.extend(a[1 : p + 1])
+            else:
+                a[t] = a[t - p]
+                db(t + 1, p)
+                for j in range(a[t - p] + 1, k):
+                    a[t] = j
+                    db(t + 1, t)
+
+        db(1, 1)
+        np.testing.assert_array_equal(debruijn_sequence(k, n).indices, ref)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             debruijn_sequence(1, 2)
@@ -268,36 +288,46 @@ class TestClip:
 class TestQuantize:
     def test_full_scale_ramp_uses_all_codes(self):
         ramp = SampleBuffer(np.linspace(-1, 1, 4096), 1.0)
-        codes = quantize(ramp, 8).samples
-        assert np.unique(codes).size == 256
-        assert codes.min() == 0 and codes.max() == 255
+        levels = quantize(ramp, 8).samples
+        assert np.unique(levels).size == 256
+        assert levels.min() == -1.0 and levels.max() == 1.0
 
     def test_one_bit_is_sign_like(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=512)
-        codes = quantize(SampleBuffer(x, 1.0), 1).samples
-        assert set(np.unique(codes)) <= {0.0, 1.0}
+        fs = np.max(np.abs(x))
+        levels = quantize(SampleBuffer(x, 1.0), 1).samples
+        assert set(np.unique(levels)) <= {-fs, fs}
+
+    @pytest.mark.parametrize("bits", [1, 3, 8])
+    def test_output_on_the_level_grid(self, bits):
+        # every output is one of the 2**bits levels spaced evenly over +/-full scale
+        x = np.random.default_rng(bits).normal(size=2048)
+        fs = 1.5
+        levels = quantize(SampleBuffer(x, 1.0), bits, full_scale=fs).samples
+        steps = (levels + fs) / (2 * fs) * ((1 << bits) - 1)
+        np.testing.assert_allclose(steps, np.rint(steps), atol=1e-9)
+        assert levels.min() >= -fs and levels.max() <= fs
 
     def test_quantization_noise_power(self):
         # uniform input, 8 bits: error variance ~ delta^2 / 12
         rng = np.random.default_rng(8)
         fs = 1.0
         x = rng.uniform(-fs, fs, size=500_000)
-        sig = SampleBuffer(x, 1.0)
-        recon = dequantize(quantize(sig, 8, full_scale=fs), 8, full_scale=fs)
+        recon = quantize(SampleBuffer(x, 1.0), 8, full_scale=fs)
         delta = 2 * fs / 255
         noise = np.mean((recon.samples - x) ** 2)
         assert noise == pytest.approx(delta**2 / 12, rel=0.05)
 
     def test_monotone(self):
         x = np.sort(np.random.default_rng(10).normal(size=1024))
-        codes = quantize(SampleBuffer(x, 1.0), 6).samples
-        assert np.all(np.diff(codes) >= 0)
+        levels = quantize(SampleBuffer(x, 1.0), 6).samples
+        assert np.all(np.diff(levels) >= 0)
 
     def test_saturates_beyond_full_scale(self):
         sig = SampleBuffer([-5.0, 0.0, 5.0], 1.0)
-        codes = quantize(sig, 8, full_scale=1.0).samples
-        assert codes[0] == 0 and codes[-1] == 255
+        levels = quantize(sig, 8, full_scale=1.0).samples
+        assert levels[0] == -1.0 and levels[-1] == 1.0
 
 
 class TestHelpers:
