@@ -592,6 +592,9 @@ class ClockPhase:
 GARDNER_PHASES = 64
 """Trial phases per unit interval of the Gardner S-curve."""
 
+GARDNER_MIN_SYMBOLS = 1000
+"""Fewest symbols :func:`gardner_recover` averages its S-curve over."""
+
 
 def _s_curve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The block-averaged Gardner detector ``-mid * (on_time - prev)`` at
@@ -652,8 +655,8 @@ def gardner_recover(signal: SampleBuffer, polarity: int = 1) -> ClockPhase:
     statistics.
     """
     x = signal.samples
-    if x.size < 2000 or x.size % 2:
-        raise ValueError("need at least 1000 symbols at 2 samples/symbol")
+    if x.size < 2 * GARDNER_MIN_SYMBOLS or x.size % 2:
+        raise ValueError(f"need at least {GARDNER_MIN_SYMBOLS} symbols at 2 samples/symbol")
     phases, curve, strength = _s_curve(x)
     power = float(np.mean(x * x))
     if not math.isfinite(strength) or not strength > 1e-12 * power:

@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import FFE_MAX_TAPS, MLSE_MAX_DIGIT_BYTES
+from .adaptive import FFE_MAX_TAPS, GARDNER_MIN_SYMBOLS, MLSE_MAX_DIGIT_BYTES
 from .dmt import DmtConfig
 from .evaluate import DmtExperiment, PamExperiment, SweepSpec, latency_budget, run_sweep
 from .link import CHANNEL_PRESETS, make_channel, preset_summary
-from .pam import PamRxConfig
-from .sigproc import SimulationError
+from .pam import SYMBOL_RATE, PamRxConfig
+from .sigproc import DEBRUIJN_LENGTH_CAP, SimulationError
 
 FORMATS = ("dmt", "nyquist_pam4", "pr_pam4")
 
@@ -38,6 +38,11 @@ SWEEP_PARAMETERS = (
     "dmt.clipping_ratio_db",
     "dmt.fft_length",
 )
+
+# an order-n payload is 4**n symbols: at least the GARDNER_MIN_SYMBOLS of clock
+# recovery (ceil log4), at most the longest de Bruijn sequence (floor log4)
+PAYLOAD_ORDERS = range(-(-(GARDNER_MIN_SYMBOLS - 1).bit_length() // 2),
+                       (DEBRUIJN_LENGTH_CAP.bit_length() - 1) // 2 + 1)
 
 
 class ConfigError(Exception):
@@ -241,6 +246,10 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append(f"dmt.cp_fraction: must be >= 0, got {cfg.cp_fraction}")
     if cfg.bit_rate <= 0:
         errors.append(f"experiment.bit_rate: must be > 0, got {cfg.bit_rate}")
+    elif cfg.format != "dmt" and cfg.bit_rate != 2 * SYMBOL_RATE:
+        errors.append(f"experiment.bit_rate: must be {2 * SYMBOL_RATE / 1e9:g}e9 for {cfg.format}, "
+                      f"2 bits per symbol at the converter's {SYMBOL_RATE / 1e9:g} GBd, "
+                      f"got {cfg.bit_rate / 1e9:g}e9")
     if cfg.seed < 0:
         errors.append(f"experiment.seed: must be >= 0, got {cfg.seed}")
     if cfg.voa_db < 0:  # an attenuator, never an amplifier
@@ -250,10 +259,9 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
                        ("dmt.data_symbols", cfg.data_symbols)):
         if value < 1:
             errors.append(f"{key}: must be >= 1, got {value}")
-    # 4**order payload symbols: clock recovery needs at least 1000 (order
-    # 5), and order 12 is the longest de Bruijn sequence generated
-    if not 5 <= cfg.payload_order <= 12:
-        errors.append(f"pam.payload_order: must be 5..12, got {cfg.payload_order}")
+    if cfg.payload_order not in PAYLOAD_ORDERS:
+        errors.append(f"pam.payload_order: must be {PAYLOAD_ORDERS[0]}..{PAYLOAD_ORDERS[-1]}, "
+                      f"got {cfg.payload_order}")
     elif cfg.rx_taps > 4**cfg.payload_order:
         errors.append(f"pam.rx_taps: must be <= {4**cfg.payload_order}, the symbols of a "
                       f"payload_order {cfg.payload_order} block, got {cfg.rx_taps}")
@@ -274,7 +282,7 @@ def _settled(cfg: ExperimentConfig, errors: list[str]) -> ExperimentConfig:
         errors.append(f"pam.mlse_memory: pr_pam4 needs an MLSE memory >= 1, got {memory}")
     elif memory is not None and memory < 0:
         errors.append(f"pam.mlse_memory: must be >= 0 (0 is no MLSE), got {memory}")
-    elif cfg.format != "dmt" and 5 <= cfg.payload_order <= 12:
+    elif cfg.format != "dmt" and cfg.payload_order in PAYLOAD_ORDERS:
         # the trellis that runs keeps a Viterbi table of a byte per state and
         # symbol, 4**(order + memory) bytes: memory <= log4(the bound) - order
         trellis = PamRxConfig(mlse_memory=memory or None, partial_response=partial).trellis_memory
@@ -332,16 +340,10 @@ def build_experiment(cfg: ExperimentConfig):
             target_bit_rate=cfg.bit_rate,
         )
         return DmtExperiment(cfg=dmt_cfg, channel=channel, frames=cfg.frames)
-    rx = PamRxConfig(
-        symbol_rate=cfg.bit_rate / 2.0,
-        n_ffe_taps=cfg.rx_taps,
-        mlse_memory=cfg.mlse_memory,
-        partial_response=cfg.format == "pr_pam4",
-    )
-    return PamExperiment(
-        rx=rx, channel=channel, payload_order=cfg.payload_order,
-        tx_preemphasis_taps=cfg.tx_taps,
-    )
+    rx = PamRxConfig(n_ffe_taps=cfg.rx_taps, mlse_memory=cfg.mlse_memory,
+                     partial_response=cfg.format == "pr_pam4")
+    return PamExperiment(rx=rx, channel=channel, payload_order=cfg.payload_order,
+                         tx_preemphasis_taps=cfg.tx_taps)
 
 
 def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .link import CONVERTER_RATE
 from .sigproc import SampleBuffer, SimulationError, clip, fft_pow2
 
 _TRAINING_SEED = 0x7261696E
@@ -21,9 +22,6 @@ SNR_CEILING_DB = 60.0
 
 EQ_STEP = 1e-3
 """Step size of the decision-directed 1-tap equalizer."""
-
-DMT_SAMPLE_RATE = 84e9
-"""DAC and ADC rate of the DMT chain: the one 84 GS/s converter pair."""
 
 CHOW_GAP_DB = 9.8
 """SNR gap of :func:`chow_bit_loading` (uncoded QAM)."""
@@ -249,15 +247,13 @@ def symbol_indices_to_bits(indices: np.ndarray, width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rate_to_bits(cfg: DmtConfig) -> int:
-    """Bits per data symbol needed for the target net rate.
+    """Bits per data symbol needed for the target net rate at `CONVERTER_RATE`.
 
     Accounts for the cyclic prefix and the 4-in-128 training overhead;
     rounded up to the next integer.
     """
     rate = Fraction(int(round(cfg.target_bit_rate)))
-    if rate == 0:
-        return 0
-    fs = Fraction(int(round(DMT_SAMPLE_RATE)))
+    fs = Fraction(int(round(CONVERTER_RATE)))
     per_symbol = (
         rate * cfg.fft_length * (1 + cfg.cp_fraction) * cfg.frame_symbols
         / (cfg.data_symbols_per_frame * fs)
@@ -435,7 +431,7 @@ def dmt_modulate(bits: np.ndarray, loading: LoadingTable, cfg: DmtConfig) -> Sam
     carriers = np.vstack([training_symbols(loading, cfg), data])
     wave = _with_prefix(_hermitian_time_symbols(carriers, cfg), cfg)
     wave = wave / np.sqrt(np.mean(wave**2))
-    out = SampleBuffer(wave, DMT_SAMPLE_RATE)
+    out = SampleBuffer(wave, CONVERTER_RATE)
     if cfg.clipping_ratio_db is not None:
         out = clip(out, cfg.clipping_ratio_db)
     return out

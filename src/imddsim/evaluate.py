@@ -114,7 +114,7 @@ _PROBE_ORDER = 8  # the pre-emphasis probe: 4**8 symbols, 98,304 DAC samples
 
 
 @lru_cache(maxsize=8)
-def _trained_preemphasis(n_taps: int, dac_rate: float, partial_response: bool) -> tuple[float, ...]:
+def _trained_preemphasis(n_taps: int, partial_response: bool) -> tuple[float, ...]:
     """Pre-emphasis taps learned on the driver side of the transmitter
     (`link.TX_DRIVER_STAGES`: DAC, driver, cable; the EML response and the
     notches stay in the channel, mirroring the experimental procedure).
@@ -125,7 +125,7 @@ def _trained_preemphasis(n_taps: int, dac_rate: float, partial_response: bool) -
     """
     probe = _payload(_PROBE_ORDER)
     symbols = pam_mod.pr_encode(probe) if partial_response else probe
-    shaped = pam_mod.shape_pulses(symbols.levels, dac_rate / pam_mod.OVERSAMPLE)
+    shaped = pam_mod.shape_pulses(symbols.levels)
     observed = link_mod.apply_stages(shaped, link_mod.TX_DRIVER_STAGES)
     taps = train_preemphasis_waveform(shaped, observed, n_taps)
     return tuple(taps.coefficients)
@@ -153,21 +153,18 @@ class PamExperiment:
         return "pr_pam4" if self.rx.partial_response else "nyquist_pam4"
 
     def resolve_tx(self) -> pam_mod.PamTxConfig:
-        """The transmitter: the receiver's symbol rate and format and the
-        format's clipping ratio.  On the hardware link it also gets
+        """The transmitter: the receiver's format and the format's clipping
+        ratio.  On the hardware link it also gets
         pre-emphasis trained on `link.TX_DRIVER_STAGES` with
         `tx_preemphasis_taps` taps (none when None) and drive levels that
         pre-compensate the EML's curve; a link without that hardware has
         nothing for either to compensate."""
-        tx = pam_mod.PamTxConfig(
-            symbol_rate=self.rx.symbol_rate,
-            partial_response=self.rx.partial_response,
-            clipping_ratio_db=PAM_CLIPPING_DB[self.format_name],
-        )
+        tx = pam_mod.PamTxConfig(partial_response=self.rx.partial_response,
+                                 clipping_ratio_db=PAM_CLIPPING_DB[self.format_name])
         if not self.channel.hardware:
             return tx
         if self.tx_preemphasis_taps is not None:
-            taps = _trained_preemphasis(self.tx_preemphasis_taps, tx.dac_rate, tx.partial_response)
+            taps = _trained_preemphasis(self.tx_preemphasis_taps, tx.partial_response)
             tx = replace(tx, pre_emphasis_taps=taps)
         return replace(tx, level_adjust=True)
 
@@ -241,7 +238,8 @@ def _dmt_loading(cfg: dmt_mod.DmtConfig,
 @dataclass(frozen=True)
 class SweepSpec:
     """How every point of a sweep runs: `blocks` independent noise
-    realizations, seeded by base_seed XOR a multiple of the point index."""
+    realizations, block b of point i seeded by
+    ``(base_seed ^ (i * 0x9E3779B1)) + 7919 * b``."""
 
     blocks: int = 1
     base_seed: int = 1
@@ -447,7 +445,7 @@ def _dmt_stage(fft_length: int, cp_fraction: Fraction) -> StageLatency:
     # butterflies run fully parallel, N log2 N sequential ops in the worst
     # case (model extension; the reference arithmetic covers only the FFEs
     # and the MLSE)
-    buffer_ns = float(fft_length * (1 + cp_fraction)) / dmt_mod.DMT_SAMPLE_RATE * 1e9
+    buffer_ns = float(fft_length * (1 + cp_fraction)) / link_mod.CONVERTER_RATE * 1e9
     ops_count = fft_length * math.log2(fft_length)
     return StageLatency("dmt_fft", buffer_ns + CLOCK_NS, buffer_ns + ops_count * CLOCK_NS)
 

@@ -111,15 +111,22 @@ def apply_stages(signal: SampleBuffer, stages) -> SampleBuffer:
     return SampleBuffer(np.fft.irfft(spec, x.size), signal.sample_rate)
 
 
+CONVERTER_RATE = 84e9
+"""Rate of the one modeled DAC/ADC pair, which every format runs through."""
+
+DAC_BITS = 8
+"""DAC resolution: every PAM waveform is quantized to its 2**DAC_BITS levels."""
+
 TX_DRIVER_STAGES = (
     FilterStage("dac", "critically_damped", 15e9, order=2),
-    FilterStage("dac_zoh", "zoh_sinc", 84e9),
+    FilterStage("dac_zoh", "zoh_sinc", CONVERTER_RATE),
     FilterStage("driver", "critically_damped", 25e9, order=2),
     # connector reflection a few cm down the cable; sits inside the
     # 512-point cyclic prefix but outside the 256-point one
-    FilterStage("cable_echo", "fir", fir_taps=(1.0 / 1.07, 0.0, 0.0, 0.07 / 1.07), fir_rate_hz=84e9),
+    FilterStage("cable_echo", "fir", fir_taps=(1.0 / 1.07, 0.0, 0.0, 0.07 / 1.07),
+                fir_rate_hz=CONVERTER_RATE),
 )
-"""Transmitter stages ahead of the EML: the 84 GS/s DAC with its
+"""Transmitter stages ahead of the EML: the `CONVERTER_RATE` DAC with its
 zero-order-hold droop, the driver and the cable.  The pre-emphasis trainer
 learns on these alone; the EML response and the notches stay in the
 channel, mirroring the experimental procedure."""

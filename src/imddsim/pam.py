@@ -1,9 +1,9 @@
 """Nyquist PAM4 and partial-response PAM4 transmit/receive chains.
 
 Gray mapping, delay-and-add partial-response encoding, the drive levels
-that pre-compensate the EML curve, the transmitter as the modeled 84 GS/s
-DAC (shaped straight to its rate, clipped, quantized), and the
-symbol-rate receive path.  The adaptive blocks (FFE, MLSE, clock recovery)
+that pre-compensate the EML curve, the transmitter as the modeled
+`link.CONVERTER_RATE` DAC (shaped straight to its rate, clipped,
+quantized), and the symbol-rate receive path.  The adaptive blocks (FFE, MLSE, clock recovery)
 live in :mod:`imddsim.adaptive`.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import adaptive, sigproc
 from .adaptive import EqualizerDivergence, MlseConfig
-from .link import EML_BIAS_V, eml_drive_for_power, eml_power_mw
+from .link import CONVERTER_RATE, DAC_BITS, EML_BIAS_V, eml_drive_for_power, eml_power_mw
 from .sigproc import SampleBuffer, SimulationError, SymbolSequence
 
 
@@ -105,27 +105,22 @@ RC_BETA = 0.1
 OVERSAMPLE = Fraction(3, 2)
 """DAC samples per symbol: the shaper runs straight at this rational rate."""
 
-DAC_BITS = 8
-"""DAC resolution."""
+SYMBOL_RATE = CONVERTER_RATE / OVERSAMPLE
+"""The symbol rate the converter sets: 84 GS/s / (3/2) = 56 GBd, 112 Gb/s of PAM4."""
 
 
 @dataclass(frozen=True)
 class PamTxConfig:
-    """Transmit chain settings; symbol_rate * OVERSAMPLE is the DAC rate.
+    """Transmit chain settings.
 
     `level_adjust` sends the symbols on :func:`level_adjustment_for_eml`'s
     drive levels instead of the equidistant alphabet.
     """
 
-    symbol_rate: float = 56e9
     partial_response: bool = False
     level_adjust: bool = False
     pre_emphasis_taps: tuple[float, ...] | None = None
     clipping_ratio_db: float | None = 15.0
-
-    @property
-    def dac_rate(self) -> float:
-        return float(self.symbol_rate * OVERSAMPLE)
 
 
 def adjusted_symbol_values(bits, cfg: PamTxConfig) -> SymbolSequence:
@@ -141,12 +136,11 @@ def adjusted_symbol_values(bits, cfg: PamTxConfig) -> SymbolSequence:
     return seq
 
 
-def shape_pulses(levels: np.ndarray, symbol_rate: float) -> SampleBuffer:
-    """Symbol values to the DAC-rate waveform: raised cosine at `RC_BETA`,
-    shaped straight to `OVERSAMPLE` samples/symbol."""
-    symbols = SampleBuffer(levels, symbol_rate)
-    return sigproc.raised_cosine_shape(symbols, RC_BETA, OVERSAMPLE.numerator,
-                                       OVERSAMPLE.denominator)
+def shape_pulses(levels: np.ndarray) -> SampleBuffer:
+    """Symbol values at `SYMBOL_RATE` to the DAC-rate waveform: raised
+    cosine at `RC_BETA`, shaped straight to `OVERSAMPLE` samples/symbol."""
+    return sigproc.raised_cosine_shape(SampleBuffer(levels, SYMBOL_RATE), RC_BETA,
+                                       *OVERSAMPLE.as_integer_ratio())
 
 
 def pam_transmit(bits, cfg: PamTxConfig) -> SampleBuffer:
@@ -155,10 +149,10 @@ def pam_transmit(bits, cfg: PamTxConfig) -> SampleBuffer:
     map -> optional delay-and-add -> optional EML level adjustment ->
     raised-cosine shaping at the DAC rate -> optional pre-emphasis FIR ->
     clip -> quantize to the `DAC_BITS` levels over the waveform's peak.
-    The returned waveform runs at the DAC rate (84 GS/s for the 112 Gb/s
-    configuration) and includes the quantization error.
+    The returned waveform runs at `CONVERTER_RATE` and includes the
+    quantization error.
     """
-    wave = shape_pulses(adjusted_symbol_values(bits, cfg).levels, cfg.symbol_rate)
+    wave = shape_pulses(adjusted_symbol_values(bits, cfg).levels)
     if cfg.pre_emphasis_taps is not None:
         taps = np.asarray(cfg.pre_emphasis_taps)
         wave = SampleBuffer(adaptive.apply_taps_cyclic(wave.samples, taps), wave.sample_rate)
@@ -180,7 +174,6 @@ class PamRxConfig:
     delay-and-add trellis at any memory (see `trellis_memory`).
     """
 
-    symbol_rate: float = 56e9
     n_ffe_taps: int = 41
     mlse_memory: int | None = None
     partial_response: bool = False
@@ -236,7 +229,7 @@ def pam_front_end(signal: SampleBuffer, cfg: PamRxConfig, reference: SymbolSeque
     """The receive chain up to the FFE: resample to 2 samples/symbol,
     correct the Gardner phase, decimate to the symbol rate and align to
     `reference` (see :func:`ffe_reference`)."""
-    two_sps = _to_two_sps(signal, cfg.symbol_rate)
+    two_sps = _to_two_sps(signal)
     polarity = -1 if cfg.partial_response else 1
     phase = adaptive.gardner_recover(two_sps, polarity=polarity)
     corrected = sigproc.fractional_delay(two_sps, phase.offset_ui * 2.0)
@@ -295,9 +288,9 @@ def _trellis(equalized: np.ndarray, cfg: PamRxConfig, reference: SymbolSequence)
     return MlseConfig.for_fir_channel(h, PAM4_LEVELS, start_symbol=None)
 
 
-def _to_two_sps(signal: SampleBuffer, symbol_rate: float) -> SampleBuffer:
-    target = 2.0 * symbol_rate
-    ratio = Fraction(int(round(target)), int(round(signal.sample_rate)))
+def _to_two_sps(signal: SampleBuffer) -> SampleBuffer:
+    """`signal` resampled from its own rate to 2 samples per `SYMBOL_RATE` symbol."""
+    ratio = Fraction(int(round(2.0 * SYMBOL_RATE)), int(round(signal.sample_rate)))
     return sigproc.resample(signal, ratio.numerator, ratio.denominator)
 
 

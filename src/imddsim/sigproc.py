@@ -35,13 +35,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleBuffer:
-    """A uniformly sampled real-valued waveform and its sample rate in Hz."""
+    """A uniformly sampled real-valued waveform and its sample rate in Hz, held
+    as a read-only view of the fresh array its producer passes in, not a copy."""
 
     samples: np.ndarray
     sample_rate: float
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples, dtype=np.float64).view()
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("SampleBuffer needs a non-empty 1-D sample array")
         if not np.isfinite(samples).all():
@@ -199,8 +200,9 @@ def raised_cosine_shape(
     # map each output bin to the source bin holding the same (mod Rs) frequency
     src = np.rint(out_freqs / (symbol_rate / k)).astype(np.int64) % k
     out_spec = spec[src] * h * (m / k)
-    y = np.fft.ifft(out_spec)
-    return SampleBuffer(y.real, symbol_rate * up / down)
+    # an array of its own: the .real view would keep the complex result alive
+    y = np.ascontiguousarray(np.fft.ifft(out_spec).real)
+    return SampleBuffer(y, symbol_rate * up / down)
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +262,20 @@ def clip(signal: SampleBuffer, clipping_ratio_db: float) -> SampleBuffer:
     return SampleBuffer(np.clip(signal.samples, -level, level), signal.sample_rate)
 
 
-def quantize(signal: SampleBuffer, bits: int, full_scale: float | None = None) -> SampleBuffer:
+def quantize(signal: SampleBuffer, bits: int) -> SampleBuffer:
     """Uniform quantization onto the 2**bits levels a DAC reconstructs.
 
-    [-full_scale, +full_scale] maps onto the code range 0 .. 2**bits - 1,
-    inputs beyond it saturate at the extreme codes, and each code is
-    returned as its level on that span.  `full_scale` defaults to the peak
-    input amplitude so the full converter resolution is used.
+    The full scale is the peak input amplitude (1 for an all-zero input),
+    so the full converter resolution is used: [-peak, +peak] maps onto the
+    code range 0 .. 2**bits - 1, and each code is returned as its level on
+    that span.
     """
     if bits < 1:
         raise ValueError("need at least 1 bit of resolution")
     x = signal.samples
-    if full_scale is None:
-        full_scale = float(np.max(np.abs(x)))
-        if full_scale == 0.0:
-            full_scale = 1.0
+    full_scale = float(np.max(np.abs(x))) or 1.0
     n_codes = (1 << bits) - 1
-    codes = np.clip(np.rint((x + full_scale) / (2.0 * full_scale) * n_codes), 0, n_codes)
+    codes = np.rint((x + full_scale) / (2.0 * full_scale) * n_codes)
     return SampleBuffer(codes / n_codes * (2.0 * full_scale) - full_scale, signal.sample_rate)
 
 

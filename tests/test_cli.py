@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imddsim.adaptive import GARDNER_MIN_SYMBOLS
 from imddsim.cli import (
     FORMATS,
+    PAYLOAD_ORDERS,
     SWEEP_PARAMETERS,
     ConfigError,
     _loading_rows,
@@ -20,6 +22,7 @@ from imddsim.cli import (
 from imddsim.dmt import DmtConfig
 from imddsim.evaluate import DmtExperiment, latency_budget
 from imddsim.link import CHANNEL_PRESETS, make_channel
+from imddsim.sigproc import DEBRUIJN_LENGTH_CAP
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 HARDWARE_PRESETS = [p for p in CHANNEL_PRESETS if make_channel(p).hardware]
@@ -281,6 +284,33 @@ fft_length = 300
             f"config error: dmt.cp_fraction: {cp_fraction} of fft_length {fft_length} "
             "is not a whole number of samples\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fmt", ["nyquist_pam4", "pr_pam4"])
+    def test_pam_runs_only_at_the_converters_bit_rate(self, tmp_path, capsys, fmt):
+        # 56 GBd PAM4 is 112 Gb/s; any other rate would model another DAC
+        text = f"[experiment]\nformat = {fmt}\nbit_rate = 100e9\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: experiment.bit_rate: must be 112e9 for {fmt}, 2 bits per symbol "
+            "at the converter's 56 GBd, got 100e9\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_dmt_runs_at_another_bit_rate(self, tmp_path):
+        # DMT loads its carriers for any net rate at the fixed converter rate
+        text = ("[experiment]\nformat = dmt\nbit_rate = 100e9\n\n[dmt]\n"
+                "fft_length = 256\nframes = 1\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+        assert "bit rate: 100 Gb/s" in (out / "summary.txt").read_text()
+
+    def test_payload_orders_follow_clock_recovery_and_the_sequence_cap(self):
+        # the least order whose 4**order symbols clock recovery accepts, up to
+        # the longest de Bruijn sequence generated
+        first, last = PAYLOAD_ORDERS[0], PAYLOAD_ORDERS[-1]
+        assert 4 ** (first - 1) < GARDNER_MIN_SYMBOLS <= 4**first
+        assert 4**last == DEBRUIJN_LENGTH_CAP
+        assert (first, last) == (5, 12)
 
     @pytest.mark.parametrize("order", [5, 12])
     def test_payload_order_bounds_accepted(self, tmp_path, order):

@@ -36,7 +36,7 @@ from imddsim.adaptive import (
 from imddsim.evaluate import (_PROBE_ORDER, PamExperiment, _payload, _trained_preemphasis,
                               count_ber, train_preemphasis_waveform)
 from imddsim.link import TX_DRIVER_STAGES, apply_stages, make_channel
-from imddsim.pam import OVERSAMPLE, PamRxConfig, pr_encode, shape_pulses
+from imddsim.pam import PamRxConfig, pr_encode, shape_pulses
 from imddsim.sigproc import SymbolSequence
 
 PAM4 = np.array([-3.0, -1.0, 1.0, 3.0])
@@ -430,10 +430,10 @@ def oracle_data_aided_lms(x, w, desired, mu):
 
 def preemphasis_probe(partial):
     """The trainer's probe and its waveform after `TX_DRIVER_STAGES`, as
-    `_trained_preemphasis` builds them at 84 GS/s."""
+    `_trained_preemphasis` builds them."""
     probe = _payload(_PROBE_ORDER)
     symbols = pr_encode(probe) if partial else probe
-    shaped = shape_pulses(symbols.levels, 84e9 / OVERSAMPLE)
+    shaped = shape_pulses(symbols.levels)
     return shaped, apply_stages(shaped, TX_DRIVER_STAGES)
 
 
@@ -722,4 +722,4 @@ class TestGoldenPreemphasisTaps:
         ids=["nyquist_11", "pr_11", "pr_5"],
     )
     def test_trained_taps(self, n_taps, partial, taps):
-        assert _trained_preemphasis(n_taps, 84e9, partial) == taps
+        assert _trained_preemphasis(n_taps, partial) == taps

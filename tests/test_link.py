@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from imddsim.dmt import DmtConfig, SnrProfile, chow_bit_loading, dmt_modulate
 from imddsim.link import (
+    CONVERTER_RATE,
     EML_BIAS_V,
     EML_V_MAX,
     EML_V_MIN,
@@ -28,7 +30,8 @@ from imddsim.link import (
     TX_STAGES,
     _grid_response,
 )
-from imddsim.sigproc import SampleBuffer
+from imddsim.pam import PamTxConfig, pam4_demap, pam_transmit
+from imddsim.sigproc import SampleBuffer, debruijn_sequence
 
 # the dispersive FIR stage of the DMT tests
 DISPERSION_FIR = FilterStage("disp", "fir", fir_taps=(1.0, 0.35, -0.2, 0.12, 0.05, -0.02),
@@ -85,6 +88,21 @@ class TestFilterStages:
         mags = 20 * np.log10(np.abs(cascade_response(stages, freqs)))
         crossing = freqs[np.argmax(mags < -3.0)]
         assert crossing < 15e9
+
+
+class TestConverter:
+    def test_one_rate_for_both_formats_and_the_driver_stages(self):
+        # the DAC's droop and the cable echo are modeled at the rate that
+        # both modems send at
+        stages = {stage.name: stage for stage in TX_DRIVER_STAGES}
+        assert stages["dac_zoh"].cutoff_hz == CONVERTER_RATE
+        assert stages["cable_echo"].fir_rate_hz == CONVERTER_RATE
+        bits = pam4_demap(debruijn_sequence(4, 5).indices)
+        assert pam_transmit(bits, PamTxConfig()).sample_rate == CONVERTER_RATE
+        cfg = DmtConfig(fft_length=64, data_symbols_per_frame=4, training_symbols=1)
+        loading = chow_bit_loading(SnrProfile(np.full(31, 30.0)), 64, cfg.max_loaded_carriers)
+        bits = np.zeros(cfg.data_symbols_per_frame * loading.total_bits, dtype=np.int64)
+        assert dmt_modulate(bits, loading, cfg).sample_rate == CONVERTER_RATE
 
 
 class TestGridResponseCache:

@@ -48,6 +48,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             buf.samples[0] = 3.0
 
+    def test_sample_buffer_holds_its_array(self):
+        # a read-only view of the array it is given, not a copy
+        x = np.linspace(-1.0, 1.0, 16)
+        buf = SampleBuffer(x, 1.0)
+        assert np.shares_memory(buf.samples, x)
+        assert not buf.samples.flags.writeable
+
     def test_symbol_sequence_validates(self):
         with pytest.raises(ValueError):
             SymbolSequence([0, 4], [-3, -1, 1, 3])
@@ -154,6 +161,12 @@ class TestResample:
 
 
 class TestRaisedCosine:
+    def test_output_holds_a_real_array_of_its_own(self):
+        # not a strided view of the complex inverse FFT, which it would keep alive
+        shaped = raised_cosine_shape(SampleBuffer(np.tile([1.0, -1.0], 32), 1.0), 0.1, 3, 2)
+        held = shaped.samples.base
+        assert held.dtype == np.float64 and held.flags.c_contiguous and held.base is None
+
     def test_occupied_bandwidth_56gbd(self):
         # 56 GBd, beta 0.1: edge of the occupied band at 30.8 GHz, i.e. the
         # "around 30 GHz" electrical bandwidth of a 112 Gb/s PAM4 signal
@@ -301,10 +314,10 @@ class TestQuantize:
 
     @pytest.mark.parametrize("bits", [1, 3, 8])
     def test_output_on_the_level_grid(self, bits):
-        # every output is one of the 2**bits levels spaced evenly over +/-full scale
+        # every output is one of the 2**bits levels spaced evenly over +/-peak
         x = np.random.default_rng(bits).normal(size=2048)
-        fs = 1.5
-        levels = quantize(SampleBuffer(x, 1.0), bits, full_scale=fs).samples
+        fs = np.max(np.abs(x))
+        levels = quantize(SampleBuffer(x, 1.0), bits).samples
         steps = (levels + fs) / (2 * fs) * ((1 << bits) - 1)
         np.testing.assert_allclose(steps, np.rint(steps), atol=1e-9)
         assert levels.min() >= -fs and levels.max() <= fs
@@ -312,9 +325,9 @@ class TestQuantize:
     def test_quantization_noise_power(self):
         # uniform input, 8 bits: error variance ~ delta^2 / 12
         rng = np.random.default_rng(8)
-        fs = 1.0
-        x = rng.uniform(-fs, fs, size=500_000)
-        recon = quantize(SampleBuffer(x, 1.0), 8, full_scale=fs)
+        x = rng.uniform(-1.0, 1.0, size=500_000)
+        fs = np.max(np.abs(x))
+        recon = quantize(SampleBuffer(x, 1.0), 8)
         delta = 2 * fs / 255
         noise = np.mean((recon.samples - x) ** 2)
         assert noise == pytest.approx(delta**2 / 12, rel=0.05)
@@ -324,10 +337,29 @@ class TestQuantize:
         levels = quantize(SampleBuffer(x, 1.0), 6).samples
         assert np.all(np.diff(levels) >= 0)
 
-    def test_saturates_beyond_full_scale(self):
-        sig = SampleBuffer([-5.0, 0.0, 5.0], 1.0)
-        levels = quantize(sig, 8, full_scale=1.0).samples
-        assert levels[0] == -1.0 and levels[-1] == 1.0
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=64),
+        bits=st.integers(1, 12),
+    )
+    def test_levels_the_dac_reconstructs(self, x, bits):
+        x = np.array(x)
+        peak = np.max(np.abs(x))
+        assume(peak >= 1e-200)  # keeps the step a normal float
+        out = quantize(SampleBuffer(x, 1.0), bits).samples
+        n_codes = (1 << bits) - 1
+        step = 2.0 * peak / n_codes
+        # on the 2**bits grid over +/-peak
+        codes = (out + peak) / step
+        np.testing.assert_allclose(codes, np.rint(codes), rtol=0, atol=1e-9 * n_codes)
+        assert np.all(np.abs(out) <= peak)
+        # the peak samples map to themselves
+        at_peak = np.abs(x) == peak
+        np.testing.assert_array_equal(out[at_peak], x[at_peak])
+        # within half a step of the input
+        assert np.all(np.abs(out - x) <= step / 2 * (1 + 1e-9))
+        # quantizing the levels again returns them
+        np.testing.assert_array_equal(quantize(SampleBuffer(out, 1.0), bits).samples, out)
 
 
 class TestHelpers:
