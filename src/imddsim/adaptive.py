@@ -18,10 +18,13 @@ from .sigproc import SampleBuffer, SimulationError, SymbolSequence
 
 
 class EqualizerDivergence(SimulationError):
-    """LMS adaptation diverged (growing MSE); carries the step size used."""
+    """The pre-emphasis trainer's LMS step has no bound: the step times the
+    largest eigenvalue of the probe's autocorrelation is 2 or more (see
+    `_mean_lms`); carries the step size used."""
 
-    def __init__(self, mu: float, mse: float):
-        super().__init__(f"LMS diverged with step size {mu:g} (windowed MSE {mse:.3g})")
+    def __init__(self, mu: float, largest_step: float):
+        super().__init__(f"pre-emphasis LMS diverges with step size {mu:g} "
+                         f"(step x largest eigenvalue {largest_step:.3g} >= 2)")
         self.mu = mu
 
 
@@ -58,86 +61,51 @@ def _lms_pass_batch(
     w: np.ndarray,
     levels: np.ndarray,
     first: int,
-    mu: float,
-    failed: list,
+    mu: list[float],
 ) -> None:
     """The receive FFE's decision-directed LMS sweep over B cyclic blocks in
     lockstep, from sample `first` to the end; mutates `w` in place.
 
     `xp` holds the blocks as rows, each already extended cyclically by
-    ``n_taps // 2`` samples on both sides, and `w` their ``(B, n_taps)``
-    taps.  The samples before `first` are the known prefix, which the
-    least-squares start has already fitted; the sweep reads no reference
-    symbol.  `failed[b]` is None while stream b adapts.  A stream that
-    diverges gets an EqualizerDivergence and its taps stop moving; the
-    others run on, and the sweep ends at the next MSE window (counted from
-    `first`) once none does.
+    ``n_taps // 2`` samples on both sides, `w` their ``(B, n_taps)`` taps
+    and `mu` their B step sizes.  The samples before `first` are the known
+    prefix, which the least-squares start has already fitted; the sweep
+    reads no reference symbol.
 
     Each stream is bit-exact to the per-sample recursion ``y = w @ win;
-    w += mu * e * win`` with ``win = xp[b, k : k + n_taps][::-1]``:
+    w += mu[b] * e * win`` with ``win = xp[b, k : k + n_taps][::-1]``:
 
     - The windows are ``(B, n_taps, 1)`` views with a negative tap stride.
       On those ``np.matmul`` calls numpy's plain dot loop for each stream,
       which sums the products in tap order, as ``w @ win`` does.
     - The slicer (a bisect of the level midpoints: ``searchsorted(side=
-      "left")``), the error, ``mu * e`` and the windowed MSE are Python
-      floats per stream.
-    - The update multiplies every window by its stream's ``mu * e`` into
+      "left")``), the error and ``mu[b] * e`` are Python floats per stream.
+    - The update multiplies every window by its stream's ``mu[b] * e`` into
       scratch and adds that to `w`: the same two roundings.
     """
     n_streams, n_taps = w.shape
-    n = xp.shape[1] - n_taps + 1
     # [k, b] is the reversed window of stream b at sample k
     by_time = np.moveaxis(sliding_window_view(xp, n_taps, axis=1)[:, :, ::-1], 1, 0)
     columns = by_time[..., np.newaxis]
     w_rows = w[:, np.newaxis, :]
     mids = ((levels[1:] + levels[:-1]) / 2.0).tolist()
     level_list = levels.tolist()
-    level_power = float(np.mean(levels**2))
     y = np.empty((n_streams, 1, 1))
     y_flat = y.reshape(n_streams)
-    scale = np.zeros((n_streams, 1))
+    scale = np.empty((n_streams, 1))
     scale_flat = scale.reshape(n_streams)
     step = np.empty((n_streams, n_taps))
-    running = [b for b in range(n_streams) if failed[b] is None]
-    scales = scale_flat.tolist()
-    first_window_mse = [None] * n_streams
-    window = 2048
-    for start in range(first, n, window):
-        if not running:
-            break
-        stop = min(start + window, n)
-        err_acc = [0.0] * n_streams
-        for rows, cols in zip(by_time[start:stop], columns[start:stop]):
-            np.matmul(w_rows, cols, out=y)
-            ys = y_flat.tolist()
-            diverged = False
-            for b in running:
-                e = level_list[bisect_left(mids, ys[b])] - ys[b]
-                if not -1e60 < e < 1e60:
-                    failed[b] = EqualizerDivergence(mu, abs(e))
-                    scales[b] = 0.0
-                    diverged = True
-                    continue
-                scales[b] = mu * e
-                err_acc[b] += e * e
-            if diverged:
-                running = [b for b in running if failed[b] is None]
-            scale_flat[:] = scales
-            np.multiply(rows, scale, out=step)
-            np.add(w, step, out=w)
-        if stop - start == window:
-            for b in running:
-                mse = err_acc[b] / window
-                if not math.isfinite(mse) or mse > 1e6 * level_power:
-                    failed[b] = EqualizerDivergence(mu, mse)
-                elif first_window_mse[b] is None:
-                    first_window_mse[b] = max(mse, 1e-12)
-                elif mse > 100.0 * first_window_mse[b] and mse > 10.0 * level_power:
-                    failed[b] = EqualizerDivergence(mu, mse)
-                if failed[b] is not None:
-                    scales[b] = 0.0
-            running = [b for b in running if failed[b] is None]
+    scales = [0.0] * n_streams
+    streams = list(enumerate(mu))
+    for rows, cols in zip(by_time[first:], columns[first:]):
+        np.matmul(w_rows, cols, out=y)
+        ys = y_flat.tolist()
+        for b, m in streams:
+            v = ys[b]
+            scales[b] = m * (level_list[bisect_left(mids, v)] - v)
+        scale_flat[:] = scales
+        np.multiply(rows, scale, out=step)
+        np.add(w, step, out=w)
 
 
 @dataclass(eq=False)
@@ -226,7 +194,8 @@ def lms_equalize(
     least 4 symbols per tap, up to half the block (and at least 1 symbol).  The taps start from the
     least-squares fit against the reference symbols there, the FFE's only
     data-aided training.  One decision-directed LMS sweep then adapts them
-    over the rest of the block, reading no reference symbol.  The
+    over the rest of the block, reading no reference symbol, at a step
+    that keeps them bounded (see :func:`lms_equalize_batch`).  The
     equalized output is the block re-filtered with the adapted taps.
 
     `train_passes` counts the LMS sweeps after the least-squares start;
@@ -235,8 +204,6 @@ def lms_equalize(
     if train_passes != 1:
         raise ValueError(f"the receive FFE runs one LMS pass, got train_passes={train_passes}")
     (result,) = lms_equalize_batch([rx], reference, n_taps)
-    if isinstance(result, EqualizerDivergence):
-        raise result
     return result
 
 
@@ -244,13 +211,26 @@ def lms_equalize_batch(
     streams: list[np.ndarray | SampleBuffer],
     reference: SymbolSequence,
     n_taps: int,
-) -> list[EqualizedStream | EqualizerDivergence]:
+) -> list[EqualizedStream]:
     """:func:`lms_equalize` of each block in `streams` against one reference.
 
-    Each stream gets what lms_equalize returns for it, or the
-    EqualizerDivergence it raises there.  Each stream is fitted on its own;
-    the decision-directed sweeps of all streams run in lockstep in
-    `_lms_pass_batch`.
+    Each stream is fitted on its own; the decision-directed sweeps of all
+    streams run in lockstep in `_lms_pass_batch`.  A stream that is not
+    finite raises ValueError.
+
+    Stream b adapts at ``mu_b = min(LMS_MU_DD, 0.05 * 2 / (n_taps * P),
+    1 / E_b)``, with P the alphabet power and E_b the largest energy of
+    any n_taps-sample window of its scaled, cyclically extended block (a
+    block of zero energy keeps the first two terms).  So ``mu_b *
+    |x_k|**2 <= 1`` on every window x_k, where LMS is H-infinity stable
+    (Hassibi, Sayed and Kailath, IEEE Trans. Signal Process. 44(2),
+    1996): whatever the decision d_k, each step keeps ``|w_{k+1}|**2 /
+    mu_b + y_k**2 <= |w_k|**2 / mu_b + d_k**2``.  Summed over the sweep,
+    ``|w_k|**2 <= |w_LS|**2 + mu_b * (k - n_train) * max(level**2)`` for
+    the scaled taps from the least-squares start w_LS, so the taps and
+    every output are bounded by construction: the FFE cannot diverge.
+    The step, like the fit, depends on the stream alone, never on its
+    batch mates.
     """
     if n_taps < 1 or n_taps % 2 == 0:
         raise ValueError("FFE length must be odd and >= 1")
@@ -263,31 +243,35 @@ def lms_equalize_batch(
         raise ValueError("rx block and reference must have equal symbol counts")
     if n_taps > n:
         raise ValueError(f"FFE length {n_taps} exceeds the block of {n} symbols")
+    if not all(np.isfinite(x).all() for x in xs):
+        raise ValueError("rx blocks must be finite")
     # adapt in the alphabet-power domain (the step size assumes it),
-    # capping the step well below the white-input stability bound 2/(N*P):
-    # the equalizer input is strongly colored, which tightens the true bound
+    # capping the step well below the white-input stability bound 2/(N*P)
+    # (the equalizer input is strongly colored, which tightens the true
+    # bound), and each stream's at 1/E_b, inside the H-infinity bound
     power = float(np.mean(levels**2))
     gains = [np.sqrt(power / max(np.mean(x**2), 1e-30)) for x in xs]
     mu = min(LMS_MU_DD, 0.05 * 2.0 / (n_taps * power))
     half = n_taps // 2
     # each row: the scaled block, extended cyclically by half a filter
     xp = np.empty((len(xs), n + 2 * half))
+    mus = []
     for row, x, gain in zip(xp, xs, gains):
         np.multiply(x, gain, out=row[half : half + n])
         row[:half] = row[n : n + half]
         row[half + n :] = row[half : 2 * half]
+        # E_b, the largest energy of any window the sweep sees, from one cumsum
+        energies = np.concatenate(([0.0], np.cumsum(row * row)))
+        energy = float(np.max(energies[n_taps:] - energies[:-n_taps]))
+        mus.append(min(mu, 1.0 / energy) if energy > 0.0 else mu)
     n_train = max(int(LMS_TRAIN_FRACTION * n), min(n // 2, 4 * n_taps), 1)
     starts, mses_train = zip(*[_ls_start(row, desired[:n_train], n_taps) for row in xp])
     w = np.stack(starts)
-    failed: list[EqualizerDivergence | None] = [None] * len(gains)
-    _lms_pass_batch(xp, w, levels, n_train, mu, failed)
+    _lms_pass_batch(xp, w, levels, n_train, mus)
     # each block is then re-filtered with its adapted taps
     mids = (levels[1:] + levels[:-1]) / 2.0
-    results: list[EqualizedStream | EqualizerDivergence] = []
+    results = []
     for b, (gain, mse_train) in enumerate(zip(gains, mses_train)):
-        if failed[b] is not None:
-            results.append(failed[b])
-            continue
         output = apply_taps_cyclic(xp[b, half : half + n], w[b])
         decided = levels[np.searchsorted(mids, output)]
         mse_final = float(np.mean((output - decided) ** 2))
@@ -527,11 +511,12 @@ def _mean_lms(r: np.ndarray, p: np.ndarray, w0: np.ndarray, mu: float, k: int) -
     """`k` steps of the LMS mean-weight recursion ``w += mu (p - R w)`` from
     `w0`, in closed form over one eigendecomposition of R:
     ``w_k = w* + (I - mu R)^k (w0 - w*)`` with ``R w* = p``.  Raises
-    EqualizerDivergence when ``mu max(eig R) >= 2``: there it has no bound."""
+    EqualizerDivergence when ``mu max(eig R) >= 2``: there it has no bound
+    (the one place that error is raised)."""
     lam, q = np.linalg.eigh(r)
     step = mu * np.maximum(lam, 0.0)
     if step[-1] >= 2.0:
-        raise EqualizerDivergence(mu, math.inf)
+        raise EqualizerDivergence(mu, float(step[-1]))
     # (1 - mu λ)^k from log|1 - mu λ|, exact where mu λ k is small; past
     # mu λ = 1 the factor alternates in sign
     with np.errstate(divide="ignore"):  # mu λ = 1 exactly: the factor is 0

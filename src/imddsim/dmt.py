@@ -473,9 +473,11 @@ def _synchronize(rx: SampleBuffer, loading: LoadingTable, cfg: DmtConfig) -> np.
 
 def _equalize_frame(
     aligned: np.ndarray, loading: LoadingTable, cfg: DmtConfig
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """CP strip, FFT, training-initialized decision-directed 1-tap
-    equalization.  Returns (equalized data carriers, active mask)."""
+    equalization.  Returns the equalized data carriers, and per loaded
+    constellation size (in `_bit_classes` order) the ``(data_symbols,
+    carriers)`` indices of the points the loop decided on."""
     received = _received_carriers(aligned, cfg)
     known = training_symbols(loading, cfg)
     active = loading.bits > 0
@@ -488,16 +490,19 @@ def _equalize_frame(
     classes = [(b, cols, constellation(b), scale[cols]) for b, cols, _ in _bit_classes(loading)]
     data = received[cfg.training_symbols :]
     equalized = np.empty_like(data)
+    decisions = [np.empty((data.shape[0], cols.size), dtype=np.intp) for _, cols, _, _ in classes]
     decided = np.zeros_like(w)
     for k in range(data.shape[0]):
         z = w * data[k]
         equalized[k] = z
         # decision-directed update toward the nearest scaled constellation point
-        for b, cols, pts, s in classes:
-            decided[cols] = pts[nearest_point(z[cols] / s, b)] * s
+        for (b, cols, pts, s), idx in zip(classes, decisions):
+            nearest = nearest_point(z[cols] / s, b)
+            idx[k] = nearest
+            decided[cols] = pts[nearest] * s
         err = np.where(active, decided - z, 0.0)
         w = w + EQ_STEP * err * np.conj(data[k])
-    return equalized, active
+    return equalized, decisions
 
 
 def dmt_demodulate(
@@ -507,21 +512,20 @@ def dmt_demodulate(
 
     Returns (bits, evm) where evm[i] is the mean squared error vector on
     carrier i+1 normalized to unit signal power (zero on unloaded
-    carriers).
+    carriers).  Both come from the decisions of the equalizer loop.
     """
     aligned = _synchronize(rx, loading, cfg)
-    equalized, active = _equalize_frame(aligned, loading, cfg)
-    scale = np.sqrt(np.where(active, loading.power, 1.0))
+    equalized, decisions = _equalize_frame(aligned, loading, cfg)
+    scale = np.sqrt(np.where(loading.bits > 0, loading.power, 1.0))
     n_sym = cfg.data_symbols_per_frame
     bits_out = np.empty((n_sym, loading.total_bits), dtype=np.int64)
     evm = np.zeros(cfg.usable_carriers)
     normalized = equalized / scale[np.newaxis, :]
-    for b, cols, bit_cols in _bit_classes(loading):
+    for (b, cols, bit_cols), idx in zip(_bit_classes(loading), decisions):
         # one contiguous row per carrier, so each EVM mean sums like a 1-D column
         z = np.ascontiguousarray(normalized[:, cols].T)
-        idx = nearest_point(z, b)
-        evm[cols] = np.mean(np.abs(z - constellation(b)[idx]) ** 2, axis=1)
-        bits_out[:, bit_cols] = symbol_indices_to_bits(idx.T.reshape(-1), b).reshape(n_sym, -1)
+        evm[cols] = np.mean(np.abs(z - constellation(b)[idx.T]) ** 2, axis=1)
+        bits_out[:, bit_cols] = symbol_indices_to_bits(idx.reshape(-1), b).reshape(n_sym, -1)
     return bits_out.reshape(-1), evm
 
 

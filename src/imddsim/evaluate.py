@@ -188,10 +188,6 @@ class DmtExperiment:
     channel: ChannelModel
     frames: int = 2
 
-    @property
-    def format_name(self) -> str:
-        return "dmt"
-
     def loading(self) -> dmt_mod.LoadingTable:
         loading = _dmt_loading(self.cfg, self.channel)
         if isinstance(loading, SimulationError):
@@ -313,7 +309,7 @@ def _run_pam_batch(pairs, members: list[int], outcomes: list) -> None:
     bits = _payload_bits(first.payload_order)
     cfgs = [pairs[i][0].rx for i in running]
     for i, rx_bits in zip(running, pam_mod.pam_back_end(fronts, cfgs, reference)):
-        outcomes[i] = rx_bits if isinstance(rx_bits, SimulationError) else count_ber(bits, rx_bits)
+        outcomes[i] = count_ber(bits, rx_bits)
 
 
 def _run_points(experiments, spec: SweepSpec, indices) -> list[SweepPoint]:
@@ -477,7 +473,7 @@ def latency_budget(experiment: PamExperiment | DmtExperiment) -> LatencyBudget:
 def measure_extinction_and_oma(
     optical: SampleBuffer,
     n_levels: int,
-    samples_per_symbol: Fraction | float | None = None,
+    samples_per_symbol: Fraction | None = None,
 ) -> dict[str, float]:
     """Extinction ratio (dB) and optical modulation amplitude of a
     multilevel optical power waveform.
@@ -489,12 +485,8 @@ def measure_extinction_and_oma(
     """
     x = optical.samples
     if samples_per_symbol is not None:
-        ratio = Fraction(samples_per_symbol).limit_denominator(64)
-        if ratio.denominator != 1:
-            up2 = resample(optical, 2 * ratio.denominator, 1)
-            x = up2.samples[:: 2 * ratio.numerator]
-        else:
-            x = x[:: ratio.numerator]
+        up2 = resample(optical, 2 * samples_per_symbol.denominator, 1)
+        x = up2.samples[:: 2 * samples_per_symbol.numerator]
     centers = np.quantile(x, (np.arange(n_levels) + 0.5) / n_levels)
     for _ in range(64):
         edges = (centers[1:] + centers[:-1]) / 2.0

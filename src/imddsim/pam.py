@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import adaptive, sigproc
-from .adaptive import EqualizerDivergence, MlseConfig
+from .adaptive import MlseConfig
 from .link import CONVERTER_RATE, DAC_BITS, EML_BIAS_V, eml_drive_for_power, eml_power_mw
 from .sigproc import SampleBuffer, SimulationError, SymbolSequence
 
@@ -208,14 +208,12 @@ def pam_receive(signal: SampleBuffer, cfg: PamRxConfig, payload: SymbolSequence)
     :func:`pam_back_end` of this one block.
 
     `payload` is the transmitted PAM4 sequence (before any partial-response
-    encoding).  Equalizer divergence and alignment failures raise rather
-    than returning garbage bits.
+    encoding).  Clock and alignment failures raise rather than returning
+    garbage bits.
     """
     reference = ffe_reference(payload, cfg)
     front = pam_front_end(signal, cfg, reference)
     (rx_bits,) = pam_back_end([front], [cfg], reference)
-    if isinstance(rx_bits, EqualizerDivergence):
-        raise rx_bits
     return rx_bits
 
 
@@ -242,16 +240,16 @@ def pam_back_end(
     fronts: list[np.ndarray],
     cfgs: list[PamRxConfig],
     reference: SymbolSequence,
-) -> list[np.ndarray | EqualizerDivergence]:
+) -> list[np.ndarray]:
     """The receive chain from the FFE on for a batch of :func:`pam_front_end`
     outputs aligned to `reference` (see :func:`ffe_reference`), block b
     received with ``cfgs[b]``: one FFE over the batch (each block's
     least-squares start, then one LMS pass), each block's hard decision or
     MLSE, then demap.
 
-    The blocks share one FFE length and format.  Each gets its bits or,
-    when it diverged, its EqualizerDivergence.  Every MLSE block, each on
-    its own trellis, goes through one :func:`adaptive.mlse_detect_batch`.
+    The blocks share one FFE length and format, and each gets its bits.
+    Every MLSE block, each on its own trellis, goes through one
+    :func:`adaptive.mlse_detect_batch`.
     `fronts` is emptied once equalized, so the front-end outputs are freed
     before the trellis runs.
     """
@@ -261,12 +259,10 @@ def pam_back_end(
     fronts.clear()
     alphabet = np.asarray(PAM4_LEVELS)
     mids = (alphabet[1:] + alphabet[:-1]) / 2.0
-    # each block's symbol indices; a diverged block keeps its EqualizerDivergence
-    indices: list = list(equalized)
+    # each block's symbol indices
+    indices: list = [None] * len(equalized)
     mlse_blocks = []
     for b, (eq, cfg) in enumerate(zip(equalized, cfgs)):
-        if isinstance(eq, EqualizerDivergence):
-            continue
         if cfg.trellis_memory is None:
             indices[b] = np.searchsorted(mids, eq.output)
         else:
@@ -275,7 +271,7 @@ def pam_back_end(
     detected = adaptive.mlse_detect_batch([equalized[b].output for b in mlse_blocks], trellises)
     for b, sequence in zip(mlse_blocks, detected):
         indices[b] = sequence.indices
-    return [i if isinstance(i, EqualizerDivergence) else pam4_demap(i) for i in indices]
+    return [pam4_demap(i) for i in indices]
 
 
 def _trellis(equalized: np.ndarray, cfg: PamRxConfig, reference: SymbolSequence) -> MlseConfig:

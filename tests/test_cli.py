@@ -20,7 +20,7 @@ from imddsim.cli import (
     point_configs,
 )
 from imddsim.dmt import DmtConfig
-from imddsim.evaluate import DmtExperiment, latency_budget
+from imddsim.evaluate import DmtExperiment, PamExperiment, latency_budget
 from imddsim.link import CHANNEL_PRESETS, make_channel
 from imddsim.sigproc import DEBRUIJN_LENGTH_CAP
 
@@ -395,7 +395,11 @@ class TestCommittedConfigs:
     def test_all_committed_configs_parse_and_build(self, path):
         cfg = parse_config(path)
         experiment = build_experiment(cfg)
-        assert experiment.format_name == cfg.format
+        if cfg.format == "dmt":
+            assert isinstance(experiment, DmtExperiment)
+        else:
+            assert isinstance(experiment, PamExperiment)
+            assert experiment.format_name == cfg.format
 
 
 class TestPresetCatalog:
